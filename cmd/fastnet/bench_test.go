@@ -9,6 +9,20 @@ import (
 	"testing"
 )
 
+// BenchmarkRows runs every `fastnet bench` row as a sub-benchmark — the
+// same definitions the artifact is measured from. For example:
+//
+//	go test -run '^$' -bench Rows -benchmem ./cmd/fastnet
+//	go test -run '^$' -bench 'Rows/^(SingleBroadcast4096|E5)$' ./cmd/fastnet
+//
+// -short swaps the multi-second rows for scaled-down points of the same
+// paths (see benchRows).
+func BenchmarkRows(b *testing.B) {
+	for _, c := range benchRows(testing.Short()) {
+		b.Run(c.name, c.fn)
+	}
+}
+
 // writeBaseline marshals a benchFile fixture for compareBaseline tests.
 func writeBaseline(t *testing.T, rows []benchRow) string {
 	t.Helper()
@@ -113,12 +127,12 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return string(data)
 }
 
-// TestBenchList: -list enumerates experiment IDs and micro case names without
-// running anything, and -run narrows the listing.
+// TestBenchList: -list enumerates every row name without running anything,
+// and -run narrows the listing.
 func TestBenchList(t *testing.T) {
 	full := captureStdout(t, func() error { return runBench([]string{"-list"}) })
-	for _, want := range []string{"E1", "SingleBroadcast4096", "ShardedBroadcast1",
-		"OpenLoopPoisson", "OpenLoopBurst", "OpenLoopZipf"} {
+	for _, want := range []string{"E1", "E24", "SingleBroadcast4096", "ShardedBroadcast1",
+		"OpenLoopPoisson", "OpenLoopBurst", "OpenLoopZipf", "DBRouteMinLoadCold", "TreeBasedExecution"} {
 		if !strings.Contains(full, want+"\n") {
 			t.Fatalf("-list misses %q:\n%s", want, full)
 		}
@@ -140,6 +154,27 @@ func TestBenchList(t *testing.T) {
 func TestBenchRunFilterInvalid(t *testing.T) {
 	if err := runBench([]string{"-run", "(", "-list"}); err == nil {
 		t.Fatal("invalid -run regexp was accepted")
+	}
+}
+
+// TestBenchRunSelectsNothing: a -run pattern matching no row is an error in
+// every mode — listing, measuring, and compare-only — rather than an empty
+// listing or artifact and exit status 0.
+func TestBenchRunSelectsNothing(t *testing.T) {
+	artifact := writeBaseline(t, []benchRow{{Name: "OpenLoopPoisson", NsPerOp: 100}})
+	out := filepath.Join(t.TempDir(), "bench.json")
+	for _, args := range [][]string{
+		{"-list", "-run", "zzz"},
+		{"-run", "zzz", "-o", out},
+		{"-run", "zzz", "-from", artifact, "-compare", artifact},
+	} {
+		err := runBench(args)
+		if err == nil || !strings.Contains(err.Error(), "selects no benchmark row") {
+			t.Errorf("%v: err = %v, want a no-row selection error", args, err)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a run selecting no row wrote an artifact (stat: %v)", err)
 	}
 }
 

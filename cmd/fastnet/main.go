@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -66,9 +67,9 @@ func run(args []string) error {
 }
 
 // startProfiles turns on CPU profiling and arranges a heap snapshot; the
-// returned stop function must run after the measured work (empty paths are
-// skipped). These are the standard runtime/pprof artifacts: inspect with
-// `go tool pprof fastnet <file>`.
+// returned stop function must run after the measured work, failed runs
+// included (empty paths are skipped). These are the standard runtime/pprof
+// artifacts: inspect with `go tool pprof fastnet <file>`.
 func startProfiles(cpuPath, memPath string) (func() error, error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -103,7 +104,7 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
-func runExp(args []string) error {
+func runExp(args []string) (err error) {
 	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
 	asCSV := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	parallel := fs.Int("parallel", 1, "worker pool for sweep rows (0 = one per CPU; output is identical to serial)")
@@ -114,14 +115,22 @@ func runExp(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.SetWorkers(*parallel)
 	// Experiments construct their networks internally, so the shard request
-	// rides in on the package default rather than a per-network option.
-	sim.SetDefaultShards(*shards)
+	// rides in on the run context's default options.
+	rc := experiments.Ctx{Workers: runner.Workers(*parallel)}
+	if *shards > 0 {
+		rc.Opts = append(rc.Opts, sim.WithShards(*shards))
+	}
+	var stats *sim.StatsSink
+	if *verbose {
+		stats = &sim.StatsSink{}
+		rc.Opts = append(rc.Opts, sim.WithStatsSink(stats))
+	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
+	defer func() { err = errors.Join(err, stopProf()) }()
 	ids := fs.Args()
 	if len(ids) == 0 {
 		return fmt.Errorf("exp needs at least one experiment ID (or 'all')")
@@ -132,15 +141,12 @@ func runExp(args []string) error {
 			ids = append(ids, s.ID)
 		}
 	}
-	if *verbose {
-		sim.TakeGlobalSchedStats() // drop counters from before this command
-	}
 	for _, id := range ids {
 		spec, ok := experiments.Lookup(id)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try 'fastnet list')", id)
 		}
-		tbl, err := spec.Run()
+		tbl, err := spec.Run(rc)
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.ID, err)
 		}
@@ -151,11 +157,11 @@ func runExp(args []string) error {
 		} else {
 			tbl.Render(os.Stdout)
 		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "%s sched: %s\n", spec.ID, sim.TakeGlobalSchedStats())
+		if stats != nil {
+			fmt.Fprintf(os.Stderr, "%s sched: %s\n", spec.ID, stats.Take())
 		}
 	}
-	return stopProf()
+	return nil
 }
 
 func runSim(args []string) error {
@@ -268,7 +274,7 @@ func runSim(args []string) error {
 // runSoak drives the seeded fault-injection soak (internal/faults). Flag
 // names must stay in sync with faults.Config.Repro, which renders the
 // one-line reproduction command printed on an invariant violation.
-func runSoak(args []string) error {
+func runSoak(args []string) (err error) {
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
 	var (
 		runtimeName = fs.String("runtime", "des", "runtime: des|gosim")
@@ -379,6 +385,7 @@ func runSoak(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer func() { err = errors.Join(err, stopProf()) }()
 
 	// Multi-seed campaign: fan independent soaks across the worker pool and
 	// report one line per seed, in seed order regardless of worker count.
@@ -410,9 +417,6 @@ func runSoak(args []string) error {
 				fmt.Fprintln(os.Stderr, "repro:", c.Repro(*topoName, *n))
 			}
 		}
-		if err := stopProf(); err != nil {
-			return err
-		}
 		if bad > 0 {
 			return fmt.Errorf("%d of %d seeds hit invariant violations", bad, len(seeds))
 		}
@@ -431,9 +435,6 @@ func runSoak(args []string) error {
 	}
 	if *verbose && res.Det.Probes > 0 {
 		fmt.Println("detector:", res.Det)
-	}
-	if err := stopProf(); err != nil {
-		return err
 	}
 	if !res.OK() {
 		for _, v := range res.Violations {

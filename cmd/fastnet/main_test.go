@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,34 @@ func TestSoakGrayVerboseCLI(t *testing.T) {
 	}
 	if !strings.Contains(out, "detector: leader=") {
 		t.Fatalf("-v output misses the detector snapshot:\n%s", out)
+	}
+}
+
+// TestProfileWrittenOnFailure: -cpuprofile/-memprofile files are complete
+// even when the command fails — the early error returns of exp, a single
+// soak, and a soak campaign all stop the profiles on the way out.
+func TestProfileWrittenOnFailure(t *testing.T) {
+	for name, args := range map[string][]string{
+		"exp":         {"exp", "zzz"},
+		"soak":        {"soak", "-n", "16", "-epochs", "0"},
+		"soak-runner": {"soak", "-runtime", "gosim", "-rate", "1", "-n", "8", "-epochs", "1"},
+		"campaign":    {"soak", "-n", "16", "-epochs", "0", "-seeds", "2"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+			out, code := reexec(t, append([]string{args[0], "-cpuprofile", cpu, "-memprofile", mem}, args[1:]...)...)
+			if code != 1 {
+				t.Fatalf("exit code = %d, want 1\n%s", code, out)
+			}
+			for _, p := range []string{cpu, mem} {
+				if st, err := os.Stat(p); err != nil {
+					t.Errorf("profile missing after a failed run: %v", err)
+				} else if st.Size() == 0 {
+					t.Errorf("%s is empty after a failed run", filepath.Base(p))
+				}
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // latency responds to leader-crash probability. Every run is a full
 // invariant-checked soak (internal/faults); a non-zero violation count in a
 // row would mean the protocol broke, not just slowed down.
-func E20Degradation() (*Table, error) {
+func E20Degradation(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E20",
 		Title:   "Degradation under churn: convergence, syscalls, re-election latency",
@@ -45,7 +45,7 @@ func E20Degradation() (*Table, error) {
 			churn = append(churn, churnPoint{mode, flapRate})
 		}
 	}
-	churnRes, err := runner.Map(Workers(), churn, func(p churnPoint) (*faults.Result, error) {
+	churnRes, err := runner.Map(rc.workers(), churn, func(p churnPoint) (*faults.Result, error) {
 		return faults.Soak(g, faults.Config{
 			Seed:       1,
 			Epochs:     6,
@@ -54,7 +54,7 @@ func E20Degradation() (*Table, error) {
 			Crashes:    (p.flapRate + 1) / 2,
 			Downtime:   2,
 			NoElection: true,
-		})
+		}, rc.Opts...)
 	})
 	if err != nil {
 		return nil, err
@@ -66,13 +66,13 @@ func E20Degradation() (*Table, error) {
 
 	// Re-election sweep: latency vs leader-crash probability.
 	pCrashes := []float64{0, 0.5, 1}
-	electRes, err := runner.Map(Workers(), pCrashes, func(pCrash float64) (*faults.Result, error) {
+	electRes, err := runner.Map(rc.workers(), pCrashes, func(pCrash float64) (*faults.Result, error) {
 		return faults.Soak(g, faults.Config{
 			Seed:        1,
 			Epochs:      6,
 			Flaps:       1,
 			LeaderCrash: pCrash,
-		})
+		}, rc.Opts...)
 	})
 	if err != nil {
 		return nil, err

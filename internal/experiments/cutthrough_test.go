@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"fastnet/internal/sim"
@@ -13,32 +12,21 @@ import (
 // experiment-level third of the cut-through equivalence evidence (after
 // internal/sim's event-level and internal/faults' soak-level differentials)
 // — and the proof behind EXPERIMENTS.md's note that no table changed.
-// Experiments construct their networks internally, hence the package-wide
-// default rather than a per-network option. The multi-minute churn sweeps
+// Experiments construct their networks internally, so the unfused path
+// rides in on the run context's options. The multi-minute churn sweeps
 // E20/E21 are skipped in -short mode; their substrate is covered by the
 // soak differential either way.
 func TestTablesCutThroughInvariant(t *testing.T) {
-	defer sim.SetDefaultCutThrough(true)
+	unfused := Ctx{Opts: []sim.Option{sim.WithCutThrough(false)}}
 	for _, spec := range All() {
-		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
 			if testing.Short() && (spec.ID == "E20" || spec.ID == "E21") {
 				t.Skip("multi-second sweep; soak differential covers the substrate")
 			}
-			render := func(cutThrough bool) string {
-				sim.SetDefaultCutThrough(cutThrough)
-				tbl, err := spec.Run()
-				if err != nil {
-					t.Fatalf("cutThrough=%v: %v", cutThrough, err)
-				}
-				var b strings.Builder
-				tbl.Render(&b)
-				return b.String()
-			}
-			fused := render(true)
-			unfused := render(false)
-			if fused != unfused {
-				t.Errorf("table diverged between fused and unfused execution\n--- fused ---\n%s--- unfused ---\n%s", fused, unfused)
+			t.Parallel()
+			fused, _ := render(t, spec, Ctx{})
+			if got, _ := render(t, spec, unfused); got != fused {
+				t.Errorf("table diverged between fused and unfused execution\n--- fused ---\n%s--- unfused ---\n%s", fused, got)
 			}
 		})
 	}

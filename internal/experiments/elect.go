@@ -19,7 +19,7 @@ func allStarters(n int) []core.NodeID {
 
 // E6ElectionCost verifies Theorem 5 across topologies and sizes: the token
 // algorithm uses at most 6n tour system calls and O(n) time.
-func E6ElectionCost() (*Table, error) {
+func E6ElectionCost(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E6",
 		Title:   "token election: tour system calls vs the 6n bound",
@@ -47,7 +47,7 @@ func E6ElectionCost() (*Table, error) {
 	)
 	for _, w := range ws {
 		n := w.g.N()
-		res, err := election.Run(w.g, election.AlgoToken, allStarters(n))
+		res, err := election.Run(w.g, election.AlgoToken, allStarters(n), rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func E6ElectionCost() (*Table, error) {
 // baselines under the new measure: Hirschberg–Sinclair stays Θ(n log n) and
 // the naive complete-graph exchange Θ(n²), while the token algorithm is
 // linear.
-func E7ElectionBaselines() (*Table, error) {
+func E7ElectionBaselines(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
 		Title:   "election system calls: token vs classical baselines",
@@ -74,18 +74,18 @@ func E7ElectionBaselines() (*Table, error) {
 	}
 	for _, n := range []int{32, 64, 128, 256, 512, 1024} {
 		ring := graph.Ring(n)
-		tok, err := election.Run(ring, election.AlgoToken, allStarters(n))
+		tok, err := election.Run(ring, election.AlgoToken, allStarters(n), rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
-		hs, err := election.Run(ring, election.AlgoHS, allStarters(n))
+		hs, err := election.Run(ring, election.AlgoHS, allStarters(n), rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
 		naive := "-"
 		naiveRatio := "-"
 		if n <= 256 {
-			nv, err := election.Run(graph.Complete(n), election.AlgoNaive, allStarters(n))
+			nv, err := election.Run(graph.Complete(n), election.AlgoNaive, allStarters(n), rc.Opts...)
 			if err != nil {
 				return nil, err
 			}

@@ -1,33 +1,41 @@
 // Package experiments regenerates every quantitative artefact of the paper:
 // one runner per experiment ID (E1..E14 for the paper's own artefacts,
 // E15..E22 for extensions; see DESIGN.md's index). The
-// runners return plain tables that cmd/fastnet renders and that
-// bench_test.go wraps as benchmarks.
+// runners return plain tables that cmd/fastnet renders and benchmarks.
 package experiments
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
+
+	"fastnet/internal/sim"
 )
 
-// workers is the worker-pool width sweep experiments hand to runner.Map.
-// The default (1) is the serial reference execution; any width produces
-// byte-identical tables, because every row is an independent DES instance
-// that is a pure function of its seed and results keep input order.
-var workers atomic.Int32
+// Ctx is the run context an experiment executes under. The zero value is
+// the serial reference run on default networks.
+type Ctx struct {
+	// Workers is the worker-pool width sweep experiments hand to runner.Map
+	// (<= 1 = serial). Any width produces byte-identical tables, because
+	// every row is an independent DES instance that is a pure function of
+	// its seed and results keep input order.
+	Workers int
+	// Opts are the default sim options of every network the experiment
+	// builds. They precede each call site's own options, so an explicit
+	// per-call option still wins.
+	Opts []sim.Option
+}
 
-func init() { workers.Store(1) }
+func (rc Ctx) workers() int { return max(rc.Workers, 1) }
 
-// SetWorkers sets the number of workers sweep experiments fan their
-// independent simulator runs across (0 = one per CPU, <0 or 1 = serial).
-func SetWorkers(n int) { workers.Store(int32(n)) }
-
-// Workers returns the configured sweep worker-pool width.
-func Workers() int { return int(workers.Load()) }
+// opts returns the context's options followed by own, in a fresh slice:
+// concurrent sweep rows share the context.
+func (rc Ctx) opts(own ...sim.Option) []sim.Option {
+	return append(slices.Clip(rc.Opts), own...)
+}
 
 // Table is one experiment's output.
 type Table struct {
@@ -110,7 +118,7 @@ func (t *Table) RenderCSV(w io.Writer) error {
 type Spec struct {
 	ID    string
 	Title string
-	Run   func() (*Table, error)
+	Run   func(Ctx) (*Table, error)
 }
 
 // All returns every experiment in ID order.

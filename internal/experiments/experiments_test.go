@@ -52,7 +52,7 @@ func TestTableRender(t *testing.T) {
 }
 
 // The cheap experiments run end-to-end in tests; the heavyweight ones are
-// exercised by bench_test.go and smoke-checked here via table shape only
+// exercised by the bench rows (cmd/fastnet) and smoke-checked here via table shape only
 // when -short is not set.
 func TestRunCheapExperiments(t *testing.T) {
 	for _, id := range []string{"E3", "E4", "E8", "E9", "E10", "E13"} {
@@ -60,7 +60,7 @@ func TestRunCheapExperiments(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		tbl, err := spec.Run()
+		tbl, err := spec.Run(Ctx{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -82,7 +82,7 @@ func TestRunAllExperiments(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
-			tbl, err := spec.Run()
+			tbl, err := spec.Run(Ctx{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestRunAllExperiments(t *testing.T) {
 func TestExperimentAssertions(t *testing.T) {
 	// E4's content is the paper's core qualitative claim; assert it here so
 	// regressions fail loudly rather than only changing a table.
-	tbl, err := E4DeadlockExample()
+	tbl, err := E4DeadlockExample(Ctx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestE23AdaptiveBeatsFixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E23 sweep skipped in -short mode")
 	}
-	tbl, err := E23Gray()
+	tbl, err := E23Gray(Ctx{})
 	if err != nil {
 		t.Fatal(err)
 	}

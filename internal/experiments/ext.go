@@ -17,7 +17,7 @@ import (
 // routes grow linearly with the path, so the wire overhead per packet is
 // k+1 bits per hop; the BFS-layers walk (footnote 1) needs Θ(n·d)-hop
 // headers while every §3/§4 algorithm stays within dmax = O(n).
-func E15HeaderGrowth() (*Table, error) {
+func E15HeaderGrowth(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E15",
 		Title:   "extension: ANR header growth per algorithm",
@@ -37,12 +37,12 @@ func E15HeaderGrowth() (*Table, error) {
 	for _, n := range []int{64, 256, 1024} {
 		g := graph.RandomTree(n, 7)
 		width := core.NewPortMap(g).IDWidth()
-		b, err := topology.SingleBroadcast(g, 0, topology.ModeBranching)
+		b, err := topology.SingleBroadcast(g, 0, topology.ModeBranching, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
 		add(fmt.Sprintf("broadcast/tree(%d)", n), n, width, b.Metrics, topology.DefaultDmax(topology.ModeBranching, n))
-		l, err := topology.SingleBroadcast(g, 0, topology.ModeLayers)
+		l, err := topology.SingleBroadcast(g, 0, topology.ModeLayers, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +51,7 @@ func E15HeaderGrowth() (*Table, error) {
 	for _, n := range []int{64, 256, 1024} {
 		g := graph.GNP(n, 4.0/float64(n), int64(n))
 		width := core.NewPortMap(g).IDWidth()
-		res, err := election.Run(g, election.AlgoToken, allStarters(n))
+		res, err := election.Run(g, election.AlgoToken, allStarters(n), rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +72,7 @@ func dmaxLabel(d int) string {
 // calls), so only the control algorithms compete for the NCU. The same
 // flows pushed through a traditional store-and-forward discipline pay one
 // software activation per hop and saturate relay processors.
-func E18DataVsControl() (*Table, error) {
+func E18DataVsControl(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E18",
 		Title:   "extension: data plane on hardware vs store-and-forward",
@@ -96,7 +96,7 @@ func E18DataVsControl() (*Table, error) {
 	for _, w := range ws {
 		flows := traffic.RandomFlows(w.g, w.flows, w.pkts, 11)
 		for _, d := range []traffic.Discipline{traffic.Hardware, traffic.StoreAndForward} {
-			res, err := traffic.Run(w.g, flows, d, 1, 5)
+			res, err := traffic.Run(w.g, flows, d, 1, 5, rc.Opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +114,7 @@ func E18DataVsControl() (*Table, error) {
 // few lines of control software, trading software work for Θ(n²) worst-case
 // hardware hops. The token algorithm and Hirschberg–Sinclair run on the
 // same rings for comparison.
-func E16HardwareAblation() (*Table, error) {
+func E16HardwareAblation(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E16",
 		Title:   "extension: election with compare-capable switching hardware",
@@ -125,16 +125,16 @@ func E16HardwareAblation() (*Table, error) {
 		},
 	}
 	for _, n := range []int{32, 128, 512} {
-		hw, err := election.RunHWRing(n, nil)
+		hw, err := election.RunHWRing(n, nil, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
 		ring := graph.Ring(n)
-		tok, err := election.Run(ring, election.AlgoToken, allStarters(n))
+		tok, err := election.Run(ring, election.AlgoToken, allStarters(n), rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
-		hs, err := election.Run(ring, election.AlgoHS, allStarters(n))
+		hs, err := election.Run(ring, election.AlgoHS, allStarters(n), rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +151,7 @@ func E16HardwareAblation() (*Table, error) {
 // branching-paths broadcast down plus a §5 optimal-tree convergecast up
 // gives O(n) system calls and O(log n) time end to end, where direct
 // acknowledgements serialize the root's NCU for Θ(n) time.
-func E19PIF() (*Table, error) {
+func E19PIF(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E19",
 		Title:   "extension: broadcast-with-feedback (PIF) under the new model",
@@ -163,7 +163,7 @@ func E19PIF() (*Table, error) {
 	for _, n := range []int{64, 256, 1024, 4096} {
 		g := graph.RandomTree(n, 7)
 		for _, mode := range []pif.EchoMode{pif.EchoOptimal, pif.EchoDirect} {
-			res, err := pif.Run(g, 0, mode, 0, 1)
+			res, err := pif.Run(g, 0, mode, 0, 1, rc.Opts...)
 			if err != nil {
 				return nil, err
 			}

@@ -10,7 +10,7 @@ import (
 
 // E8Binomial reproduces §5 example 1 (C=0, P=1): S(k) = 2^(k-1) and the
 // optimal tree is the binomial tree; simulated completion matches k.
-func E8Binomial() (*Table, error) {
+func E8Binomial(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
 		Title:   "C=0, P=1: binomial trees",
@@ -32,7 +32,7 @@ func E8Binomial() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false)
+			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, rc.Opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -45,7 +45,7 @@ func E8Binomial() (*Table, error) {
 
 // E9Fibonacci reproduces §5 example 3 (C=1, P=1): S(k) follows the
 // Fibonacci numbers, matching closed form (11) (Binet's formula).
-func E9Fibonacci() (*Table, error) {
+func E9Fibonacci(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E9",
 		Title:   "C=1, P=1: Fibonacci growth",
@@ -66,7 +66,7 @@ func E9Fibonacci() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false)
+			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, rc.Opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -80,7 +80,7 @@ func E9Fibonacci() (*Table, error) {
 // E10Traditional reproduces §5 example 2 (C=1, P=0): the recursion blows up
 // and a star of any size finishes in constant time — the traditional model
 // hides the software bottleneck entirely.
-func E10Traditional() (*Table, error) {
+func E10Traditional(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E10",
 		Title:   "C=1, P=0: the traditional model degenerates",
@@ -98,7 +98,7 @@ func E10Traditional() (*Table, error) {
 		return nil, err
 	}
 	for _, n := range []int{2, 16, 128, 1024} {
-		res, err := globalfn.Execute(globalfn.Star(n), p, make([]globalfn.Value, n), globalfn.Sum, false)
+		res, err := globalfn.Execute(globalfn.Star(n), p, make([]globalfn.Value, n), globalfn.Sum, false, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +110,7 @@ func E10Traditional() (*Table, error) {
 // E11OptimalTime sweeps (C, P) regimes and checks that the predicted
 // optimal completion time t* = min{t : S(t) >= n} is achieved exactly by
 // simulating OT(t*) under worst-case delays.
-func E11OptimalTime() (*Table, error) {
+func E11OptimalTime(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
 		Title:   "predicted vs simulated optimal completion times",
@@ -138,7 +138,7 @@ func E11OptimalTime() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false)
+			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, rc.Opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +153,7 @@ func E11OptimalTime() (*Table, error) {
 // (the postal-model discipline of [BK92], which the paper cites as the
 // follow-up of its §5 model) finishes at exactly the same optimal time as
 // gathering — every branch of the optimal tree is critical.
-func E17Duality() (*Table, error) {
+func E17Duality(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E17",
 		Title:   "extension: gather/dissemination duality over optimal trees",
@@ -169,11 +169,11 @@ func E17Duality() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			g, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false)
+			g, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, rc.Opts...)
 			if err != nil {
 				return nil, err
 			}
-			d, err := globalfn.Disseminate(tr, p, 1)
+			d, err := globalfn.Disseminate(tr, p, 1, rc.Opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +187,7 @@ func E17Duality() (*Table, error) {
 // E12StarVsTree traces the §5 punchline: even on a complete graph the
 // optimal structure depends on P/C — the star (the traditional optimum)
 // loses to the optimal tree as soon as software delay matters.
-func E12StarVsTree() (*Table, error) {
+func E12StarVsTree(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E12",
 		Title:   "star vs optimal tree completion, n = 64, C = 8",
@@ -200,7 +200,7 @@ func E12StarVsTree() (*Table, error) {
 	for _, pv := range []globalfn.Time{1, 2, 4, 8, 16, 32} {
 		p := globalfn.Params{C: 8, P: pv}
 		starPred := globalfn.StarTime(n, p)
-		starRes, err := globalfn.Execute(globalfn.Star(n), p, make([]globalfn.Value, n), globalfn.Sum, false)
+		starRes, err := globalfn.Execute(globalfn.Star(n), p, make([]globalfn.Value, n), globalfn.Sum, false, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +216,7 @@ func E12StarVsTree() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		otRes, err := globalfn.Execute(pruned, p, make([]globalfn.Value, n), globalfn.Sum, false)
+		otRes, err := globalfn.Execute(pruned, p, make([]globalfn.Value, n), globalfn.Sum, false, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}

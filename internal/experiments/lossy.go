@@ -21,7 +21,7 @@ import (
 // themselves can be lost — branching paths vs flooding. Violations would mean
 // reliability broke (a lost, duplicated or phantom application); the column
 // must stay zero.
-func E21Reliability() (*Table, error) {
+func E21Reliability(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E21",
 		Title:   "Reliable delivery on lossy links: ARQ overhead and convergence vs loss rate",
@@ -48,7 +48,7 @@ func E21Reliability() (*Table, error) {
 			points = append(points, lossPoint{mode, loss})
 		}
 	}
-	results, err := runner.Map(Workers(), points, func(p lossPoint) (*faults.Result, error) {
+	results, err := runner.Map(rc.workers(), points, func(p lossPoint) (*faults.Result, error) {
 		return faults.Soak(g, faults.Config{
 			Seed:       1,
 			Epochs:     6,
@@ -62,7 +62,7 @@ func E21Reliability() (*Table, error) {
 			Dup:        p.loss / 2,
 			Corrupt:    p.loss / 4,
 			Jitter:     p.loss / 2,
-		})
+		}, rc.Opts...)
 	})
 	if err != nil {
 		return nil, err

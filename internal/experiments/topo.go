@@ -14,7 +14,7 @@ import (
 // E1BroadcastVsFlooding reproduces §3's headline comparison: per broadcast,
 // branching paths cost n system calls and O(log n) time; flooding costs
 // Θ(m) system calls and up to Θ(n) time.
-func E1BroadcastVsFlooding() (*Table, error) {
+func E1BroadcastVsFlooding(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E1",
 		Title:   "broadcast cost per topology update",
@@ -40,12 +40,12 @@ func E1BroadcastVsFlooding() (*Table, error) {
 	// Each workload's branch/flood pair is independent of every other row, so
 	// the sweep fans out through the worker pool; rows render in input order.
 	type pair struct{ branch, flood topology.BroadcastResult }
-	results, err := runner.Map(Workers(), ws, func(w workload) (pair, error) {
-		b, err := topology.SingleBroadcast(w.g, 0, topology.ModeBranching)
+	results, err := runner.Map(rc.workers(), ws, func(w workload) (pair, error) {
+		b, err := topology.SingleBroadcast(w.g, 0, topology.ModeBranching, rc.Opts...)
 		if err != nil {
 			return pair{}, err
 		}
-		f, err := topology.SingleBroadcast(w.g, 0, topology.ModeFlood)
+		f, err := topology.SingleBroadcast(w.g, 0, topology.ModeFlood, rc.Opts...)
 		if err != nil {
 			return pair{}, err
 		}
@@ -67,7 +67,7 @@ func E1BroadcastVsFlooding() (*Table, error) {
 
 // E2BroadcastTime verifies Theorem 2 on many tree shapes: the measured
 // broadcast time never exceeds floor(log2 n)+1 rounds.
-func E2BroadcastTime() (*Table, error) {
+func E2BroadcastTime(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E2",
 		Title:   "branching-paths broadcast time vs the log2 n bound",
@@ -90,7 +90,7 @@ func E2BroadcastTime() (*Table, error) {
 		ws = append(ws, workload{fmt.Sprintf("randomtree(2048,seed %d)", seed), graph.RandomTree(2048, seed)})
 	}
 	for _, w := range ws {
-		res, err := topology.SingleBroadcast(w.g, 0, topology.ModeBranching)
+		res, err := topology.SingleBroadcast(w.g, 0, topology.ModeBranching, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func E2BroadcastTime() (*Table, error) {
 // E3LowerBound measures broadcast rounds on complete binary trees: the
 // branching-paths algorithm needs Θ(log n) rounds, matching Theorem 3's
 // Ω(log n) lower bound for one-way broadcast within a constant factor.
-func E3LowerBound() (*Table, error) {
+func E3LowerBound(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "one-way broadcast rounds on complete binary trees",
@@ -115,7 +115,7 @@ func E3LowerBound() (*Table, error) {
 	}
 	for depth := 2; depth <= 14; depth += 2 {
 		g := graph.CompleteBinaryTree(depth)
-		res, err := topology.SingleBroadcast(g, 0, topology.ModeBranching)
+		res, err := topology.SingleBroadcast(g, 0, topology.ModeBranching, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +165,7 @@ func cyclicOrder(parent core.NodeID, children []core.NodeID) []core.NodeID {
 
 // E4DeadlockExample runs the six-node example under one-shot DFS (which
 // must never converge) and under branching paths and flooding (which must).
-func E4DeadlockExample() (*Table, error) {
+func E4DeadlockExample(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "the six-node example after three simultaneous link failures",
@@ -177,7 +177,7 @@ func E4DeadlockExample() (*Table, error) {
 	for _, mode := range []topology.Mode{topology.ModeDFS, topology.ModeBranching, topology.ModeFlood} {
 		g, changes := sixNodeExample()
 		res, err := topology.RunConvergence(g, topology.ConvOptions{
-			Mode: mode, Order: cyclicOrder, Warm: true, MaxRounds: 30,
+			Mode: mode, Order: cyclicOrder, Warm: true, MaxRounds: 30, SimOpts: rc.Opts,
 		}, changes)
 		if err != nil {
 			return nil, err
@@ -194,7 +194,7 @@ func E4DeadlockExample() (*Table, error) {
 // E5Convergence measures rounds to eventual consistency after failure
 // bursts: O(d) with plain broadcasts, O(log d) when nodes broadcast all
 // they know (the comment after Theorem 1).
-func E5Convergence() (*Table, error) {
+func E5Convergence(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "rounds to eventual consistency after changes stop",
@@ -226,15 +226,15 @@ func E5Convergence() (*Table, error) {
 	// variant O(log d). The per-workload pairs are independent runs, so they
 	// fan out through the worker pool and render in input order.
 	type pair struct{ plain, full topology.ConvergenceResult }
-	results, err := runner.Map(Workers(), ws, func(w workload) (pair, error) {
+	results, err := runner.Map(rc.workers(), ws, func(w workload) (pair, error) {
 		plain, err := topology.RunConvergence(w.g, topology.ConvOptions{
-			Mode: topology.ModeBranching, MaxRounds: 200,
+			Mode: topology.ModeBranching, MaxRounds: 200, SimOpts: rc.Opts,
 		}, w.changes)
 		if err != nil {
 			return pair{}, err
 		}
 		full, err := topology.RunConvergence(w.g, topology.ConvOptions{
-			Mode: topology.ModeBranching, Full: true, MaxRounds: 200,
+			Mode: topology.ModeBranching, Full: true, MaxRounds: 200, SimOpts: rc.Opts,
 		}, w.changes)
 		if err != nil {
 			return pair{}, err
@@ -262,7 +262,7 @@ func convLabel(r topology.ConvergenceResult) string {
 // E14BFSLayers exercises footnote 1: a single-walk broadcast takes one time
 // unit but needs Θ(n·d)-hop headers, so it is only legal with a relaxed
 // path-length restriction.
-func E14BFSLayers() (*Table, error) {
+func E14BFSLayers(rc Ctx) (*Table, error) {
 	t := &Table{
 		ID:      "E14",
 		Title:   "BFS-layers walk broadcast: time 1, header Theta(n*d)",
@@ -282,11 +282,11 @@ func E14BFSLayers() (*Table, error) {
 		{"star(128)", graph.Star(128)},
 	}
 	for _, w := range ws {
-		res, err := topology.SingleBroadcast(w.g, 0, topology.ModeLayers)
+		res, err := topology.SingleBroadcast(w.g, 0, topology.ModeLayers, rc.Opts...)
 		if err != nil {
 			return nil, err
 		}
-		withN, err := layersLegalUnderDmax(w.g, w.g.N())
+		withN, err := layersLegalUnderDmax(rc, w.g, w.g.N())
 		if err != nil {
 			return nil, err
 		}
@@ -296,9 +296,9 @@ func E14BFSLayers() (*Table, error) {
 }
 
 // layersLegalUnderDmax reports whether the layered walk fits within dmax.
-func layersLegalUnderDmax(g *graph.Graph, dmax int) (bool, error) {
+func layersLegalUnderDmax(rc Ctx, g *graph.Graph, dmax int) (bool, error) {
 	net := sim.New(g, topology.NewMaintainer(topology.ModeLayers, false, nil),
-		sim.WithDelays(0, 1), sim.WithDmax(dmax))
+		rc.opts(sim.WithDelays(0, 1), sim.WithDmax(dmax))...)
 	recs := topology.RecordsForGraph(g, net.PortMap(), nil)
 	net.Protocol(0).(topology.Maintainer).Preload(recs)
 	net.Inject(0, 0, topology.Trigger{})

@@ -17,19 +17,17 @@ import (
 // and call accounting, probe counts, the reliable-delivery ledger, and the
 // full metrics block — so equality here is the soak-level half of the
 // cut-through equivalence evidence (internal/sim's differential tests are
-// the event-level half). The soak builds its networks internally, which is
-// exactly what sim.SetDefaultCutThrough exists for.
+// the event-level half). The soak builds its networks internally, so the
+// unfused path rides in on Soak's default sim options.
 func TestSoakCutThroughDifferential(t *testing.T) {
-	defer sim.SetDefaultCutThrough(true)
 	for name, run := range goldenSoaks() {
 		t.Run(name, func(t *testing.T) {
-			sim.SetDefaultCutThrough(true)
+			t.Parallel()
 			fused, err := run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim.SetDefaultCutThrough(false)
-			unfused, err := run()
+			unfused, err := run(sim.WithCutThrough(false))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 
 	"fastnet/internal/faults"
 	"fastnet/internal/graph"
+	"fastnet/internal/sim"
 	"fastnet/internal/topology"
 )
 
@@ -18,11 +19,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden so
 // goldenSoaks pin full soak result lines (the byte-identical repro target)
 // for a small matrix of configs: plain churn, churn with elections and
 // leader crashes, and a lossy fabric with the reliable-delivery ledger.
-func goldenSoaks() map[string]func() (string, error) {
-	run := func(cfg faults.Config) func() (string, error) {
-		return func() (string, error) {
+// Each entry runs its soak with the given default sim options.
+func goldenSoaks() map[string]func(...sim.Option) (string, error) {
+	run := func(cfg faults.Config) func(...sim.Option) (string, error) {
+		return func(opts ...sim.Option) (string, error) {
 			g := graph.GNP(20, 0.3, 2)
-			res, err := faults.Soak(g, cfg)
+			res, err := faults.Soak(g, cfg, opts...)
 			if err != nil {
 				return "", err
 			}
@@ -32,7 +34,7 @@ func goldenSoaks() map[string]func() (string, error) {
 			return res.Line(), nil
 		}
 	}
-	return map[string]func() (string, error){
+	return map[string]func(...sim.Option) (string, error){
 		"churn-flood": run(faults.Config{
 			Seed: 7, Epochs: 4, Mode: topology.ModeFlood,
 			Flaps: 2, Crashes: 1, Downtime: 2, NoElection: true,

@@ -6,6 +6,7 @@ import (
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/load"
+	"fastnet/internal/sim"
 )
 
 // runOpenLoop is the soak's open-loop mode: a rising-pressure rate sweep of
@@ -23,7 +24,7 @@ import (
 // Epoch seeds are decorrelated from each other and from the base seed, so
 // consecutive epochs are independent draws of the same scenario family; the
 // whole sweep remains a pure function of (graph, Config).
-func runOpenLoop(g *graph.Graph, cfg Config) (*Result, error) {
+func runOpenLoop(g *graph.Graph, cfg Config, opts []sim.Option) (*Result, error) {
 	res := &Result{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		profile := cfg.schedule().Profile(epoch)
@@ -39,7 +40,7 @@ func runOpenLoop(g *graph.Graph, cfg Config) (*Result, error) {
 				LinkRate: cfg.LinkCap,
 			},
 		}
-		s, err := load.Run(g, lc)
+		s, err := load.Run(g, lc, opts...)
 		if err != nil {
 			return res, err
 		}

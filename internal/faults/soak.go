@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -453,6 +454,7 @@ type callInfo struct {
 // soakRun is the per-run state of the driver.
 type soakRun struct {
 	cfg   Config
+	opts  []sim.Option // the caller's defaults for every DES network the soak builds
 	g     *graph.Graph
 	h     Harness
 	st    *State
@@ -474,7 +476,9 @@ type soakRun struct {
 // Soak runs the invariant-checked churn loop on g and reports the result.
 // A non-nil error means the run itself broke (runtime error, event-budget
 // exhaustion); invariant violations are reported in Result.Violations.
-func Soak(g *graph.Graph, cfg Config) (*Result, error) {
+// opts are the defaults of every discrete-event network the soak builds;
+// the soak's own options follow them, so the soak's settings win.
+func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("faults: Epochs must be positive")
 	}
@@ -482,13 +486,14 @@ func Soak(g *graph.Graph, cfg Config) (*Result, error) {
 		if cfg.runtime() != "des" {
 			return nil, fmt.Errorf("faults: the open-loop mode needs the discrete-event runtime, not %q", cfg.Runtime)
 		}
-		return runOpenLoop(g, cfg)
+		return runOpenLoop(g, cfg, opts)
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = topology.ModeBranching
 	}
 	r := &soakRun{
 		cfg:   cfg,
+		opts:  opts,
 		g:     g,
 		st:    NewState(g),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
@@ -542,10 +547,10 @@ func Soak(g *graph.Graph, cfg Config) (*Result, error) {
 	dmax := topology.DefaultDmax(cfg.Mode, g.N())
 	switch cfg.runtime() {
 	case "des":
-		opts := []sim.Option{
+		opts := r.simOpts(
 			sim.WithDelays(0, 1), sim.WithSeed(cfg.Seed), sim.WithDmax(dmax),
 			sim.WithEventBudget(500_000_000),
-		}
+		)
 		if cfg.Shards > 0 {
 			// Shard mode needs lookahead >= 1: give every hop a unit hardware
 			// delay so the partitioner has delay-1 edges to cut.
@@ -573,6 +578,11 @@ func Soak(g *graph.Graph, cfg Config) (*Result, error) {
 }
 
 func (r *soakRun) node(u core.NodeID) *soakNode { return r.h.Protocol(u).(*soakNode) }
+
+// simOpts returns the caller's defaults followed by own, in a fresh slice.
+func (r *soakRun) simOpts(own ...sim.Option) []sim.Option {
+	return append(slices.Clip(r.opts), own...)
+}
 
 func (r *soakRun) maxRounds() int {
 	if r.cfg.MaxRounds > 0 {
@@ -1069,7 +1079,7 @@ func (r *soakRun) checkElection(epoch int) (bool, error) {
 		}
 		res, err = election.RunAsync(sub, election.AlgoToken, starters, seed, timeout)
 	} else {
-		res, err = election.Run(sub, election.AlgoToken, starters, sim.WithSeed(seed))
+		res, err = election.Run(sub, election.AlgoToken, starters, r.simOpts(sim.WithSeed(seed))...)
 	}
 	if err != nil {
 		r.violate(epoch, 2, "re-election on the largest component (%d nodes): %v", len(comp), err)
@@ -1132,9 +1142,9 @@ func (r *soakRun) checkReorderElection(epoch int) (bool, error) {
 		res, err = election.RunAsync(sub, election.AlgoToken, allOf(len(comp)), seed, timeout,
 			gosim.WithMsgFaults(profile))
 	} else {
-		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)),
+		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)), r.simOpts(
 			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
-			sim.WithMsgFaults(profile))
+			sim.WithMsgFaults(profile))...)
 	}
 	if err != nil {
 		r.violate(epoch, 7, "reordered re-election on the largest component (%d nodes): %v", len(comp), err)
@@ -1265,9 +1275,9 @@ func (r *soakRun) checkGray(epoch int) (bool, error) {
 		// n-1 probers per period, so the period must also cover n·swDelay of
 		// ack service or the leader's queue grows without bound and honest
 		// slowness turns into unbounded silence.
-		net := sim.New(sub, factory,
+		net := sim.New(sub, factory, r.simOpts(
 			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
-			sim.WithMsgFaults(slowOnly))
+			sim.WithMsgFaults(slowOnly))...)
 		if err := arm(net.PortMap()); err != nil {
 			return false, err
 		}
@@ -1334,9 +1344,9 @@ func (r *soakRun) checkGray(epoch int) (bool, error) {
 		res, err = election.RunAsync(sub, election.AlgoToken, allOf(len(comp)), eseed, timeout,
 			gosim.WithMsgFaults(profile))
 	} else {
-		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)),
+		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)), r.simOpts(
 			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(eseed),
-			sim.WithMsgFaults(profile))
+			sim.WithMsgFaults(profile))...)
 	}
 	if err != nil {
 		r.violate(epoch, 8, "gray re-election on the largest component (%d nodes): %v", len(comp), err)

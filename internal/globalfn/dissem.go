@@ -108,7 +108,8 @@ var ErrNotReached = errors.New("globalfn: dissemination did not reach every node
 
 // Disseminate runs one-to-all dissemination of value from tree node 0 over
 // the tree with exact worst-case delays and one message per activation.
-func Disseminate(t *Tree, p Params, value Value) (DissemResult, error) {
+// Extra simulator options are appended to the network's own.
+func Disseminate(t *Tree, p Params, value Value, opts ...sim.Option) (DissemResult, error) {
 	if t.Size == 0 {
 		return DissemResult{}, ErrEmptyTree
 	}
@@ -121,11 +122,12 @@ func Disseminate(t *Tree, p Params, value Value) (DissemResult, error) {
 	}
 	cfg := &dcfg{tree: t}
 	protos := make([]*dproto, t.Size)
+	base := []sim.Option{sim.WithDelays(core.Time(p.C), core.Time(p.P)), sim.WithDmax(t.Size)}
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
 		pr := &dproto{id: id, cfg: cfg}
 		protos[id] = pr
 		return pr
-	}, sim.WithDelays(core.Time(p.C), core.Time(p.P)), sim.WithDmax(t.Size))
+	}, append(base, opts...)...)
 	net.Inject(0, 0, &dValue{Value: value})
 	finish, err := net.Run()
 	if err != nil {

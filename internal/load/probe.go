@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fastnet/internal/graph"
+	"fastnet/internal/sim"
 )
 
 // ProbeConfig parameterizes the max-sustainable-rate search. Template is
@@ -36,8 +37,9 @@ type ProbeResult struct {
 // MaxSustainableRate binary-searches the offered-load knee: the highest
 // arrival rate the scenario still serves with the required delivered
 // fraction. Each probe is one deterministic engine run (same seed, so the
-// probe itself is reproducible bit for bit).
-func MaxSustainableRate(g *graph.Graph, pc ProbeConfig) (*ProbeResult, error) {
+// probe itself is reproducible bit for bit). Extra sim options reach every
+// run, as in Run.
+func MaxSustainableRate(g *graph.Graph, pc ProbeConfig, opts ...sim.Option) (*ProbeResult, error) {
 	if pc.MinRate <= 0 || pc.MaxRate < pc.MinRate {
 		return nil, fmt.Errorf("load: probe needs 0 < MinRate <= MaxRate, have [%g, %g]", pc.MinRate, pc.MaxRate)
 	}
@@ -53,7 +55,7 @@ func MaxSustainableRate(g *graph.Graph, pc ProbeConfig) (*ProbeResult, error) {
 	probe := func(rate float64) (bool, error) {
 		cfg := pc.Template
 		cfg.Rate = rate
-		s, err := Run(g, cfg)
+		s, err := Run(g, cfg, opts...)
 		if err != nil {
 			return false, err
 		}

@@ -285,40 +285,6 @@ func TestRingAutoSize(t *testing.T) {
 	})
 }
 
-// TestSetDefaultHopBatching verifies the package-wide defaults reach
-// networks constructed without explicit options (the hook differential
-// tests and reference benchmarks use to flip whole stacks).
-func TestSetDefaultHopBatching(t *testing.T) {
-	defer sim.SetDefaultHopBatching(true)
-	defer sim.SetDefaultRingWindow(0)
-	sim.SetDefaultHopBatching(false)
-	sim.SetDefaultRingWindow(64)
-	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 90}
-	off, offEvents := runTrains(t, faults, 2)
-	if off.Sched.BatchedHops != 0 {
-		t.Fatalf("default-off run batched %d hops", off.Sched.BatchedHops)
-	}
-	if off.Sched.RingOverflows == 0 {
-		t.Fatal("64-slot default window reported no overflows under 90-tick jitter")
-	}
-	sim.SetDefaultHopBatching(true)
-	sim.SetDefaultRingWindow(0)
-	on, onEvents := runTrains(t, faults, 2)
-	if on.Sched.BatchedHops == 0 {
-		t.Fatal("default-on run batched no hops")
-	}
-	if on.Sched.RingOverflows != 0 {
-		t.Fatalf("auto-sized run overflowed the ring %d times", on.Sched.RingOverflows)
-	}
-	if on.Delivered != off.Delivered || on.Metrics != off.Metrics {
-		t.Errorf("observables diverged:\n  default-on  %d delivered %+v\n  default-off %d delivered %+v",
-			on.Delivered, on.Metrics, off.Delivered, off.Metrics)
-	}
-	if !slices.Equal(onEvents, offEvents) {
-		t.Errorf("trace diverged: default-on %d events, default-off %d events", len(onEvents), len(offEvents))
-	}
-}
-
 // FuzzHopBatch searches for a divergence between the batched auto-sized
 // scheduler and the reference one-event-per-hop scheduler pinned to the
 // historical 64-slot window, over random graphs, delay geometry, fault

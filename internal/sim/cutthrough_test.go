@@ -252,22 +252,40 @@ func TestCutThroughSchedStats(t *testing.T) {
 	}
 }
 
-// TestSetDefaultCutThrough verifies the package-wide default reaches
-// networks constructed without an explicit option (the hook differential
-// tests use to flip whole experiment stacks).
-func TestSetDefaultCutThrough(t *testing.T) {
-	defer sim.SetDefaultCutThrough(true)
-	sim.SetDefaultCutThrough(false)
-	off := runLossyBranching(t, 11, core.MsgFaults{})
-	if off.sched.FusedHops != 0 {
-		t.Fatalf("default-off run fused %d hops", off.sched.FusedHops)
+// TestStatsSink checks the sink against the networks it observes: it
+// accumulates every network's counters — pushes made outside a run
+// (injections before Run, between RunUntil calls) included — with peaks
+// combined by max, and Take resets it.
+func TestStatsSink(t *testing.T) {
+	stats := &sim.StatsSink{}
+	g := graph.RandomTree(64, 5)
+	net := sim.New(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
+		sim.WithDelays(1, 1), sim.WithStatsSink(stats))
+	recs := topology.RecordsForGraph(g, net.PortMap(), nil)
+	for u := 0; u < g.N(); u++ {
+		net.Protocol(core.NodeID(u)).(topology.Maintainer).Preload(recs)
 	}
-	sim.SetDefaultCutThrough(true)
-	on := runLossyBranching(t, 11, core.MsgFaults{})
-	if on.sched.FusedHops == 0 {
-		t.Fatal("default-on run fused no hops")
+	net.Inject(0, 0, topology.Trigger{})
+	if _, err := net.RunUntil(3); err != nil {
+		t.Fatal(err)
 	}
-	requireEqualRuns(t, on, off)
+	net.Inject(net.Now(), 7, topology.Trigger{})
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stats.Take(), net.SchedStats(); got != want {
+		t.Fatalf("sink %+v, network %+v", got, want)
+	}
+	if got := stats.Take(); got != (sim.SchedStats{}) {
+		t.Fatalf("Take did not reset the sink: %+v", got)
+	}
+	a := runLossyBranching(t, 9, core.MsgFaults{}, sim.WithStatsSink(stats))
+	b := runLossyBranching(t, 11, core.MsgFaults{}, sim.WithStatsSink(stats))
+	got := stats.Take()
+	if got.Events != a.sched.Events+b.sched.Events || got.LanePushes != a.sched.LanePushes+b.sched.LanePushes ||
+		got.FusedHops != a.sched.FusedHops+b.sched.FusedHops || got.RingPeak != max(a.sched.RingPeak, b.sched.RingPeak) {
+		t.Fatalf("sink %+v does not aggregate\n  %+v\n  %+v", got, a.sched, b.sched)
+	}
 }
 
 // FuzzCutThrough searches for a divergence between fused and unfused

@@ -16,24 +16,11 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/trace"
 )
-
-// defaultShardsN is the package-wide shard-count default applied at
-// construction when no per-network WithShards is given; see SetDefaultShards.
-var defaultShardsN atomic.Int64
-
-// SetDefaultShards sets the shard count applied to every subsequently
-// constructed Network that does not carry an explicit WithShards (which still
-// wins). 0 — the initial value — keeps the classic serial scheduler. Like
-// SetDefaultCutThrough it exists so whole experiment or soak stacks, which
-// construct networks internally, can be switched onto the sharded engine from
-// one flag. Affects construction only: existing networks keep their engine.
-func SetDefaultShards(n int) { defaultShardsN.Store(int64(n)) }
 
 // WithShards selects the shard-mode engine with p workers (p is a cap: the
 // partitioner may produce fewer parts). Shard mode is a different stream
@@ -257,7 +244,7 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 			}
 		}
 		if len(grp.active) == 1 {
-			if _, err := grp.active[0].runCore(end); err != nil {
+			if _, err := grp.active[0].run(end); err != nil {
 				errs = append(errs, err)
 			}
 		} else {
@@ -267,7 +254,7 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 				wg.Add(1)
 				go func(i int, ch *Network) {
 					defer wg.Done()
-					_, werrs[i] = ch.runCore(end)
+					_, werrs[i] = ch.run(end)
 				}(i, ch)
 			}
 			wg.Wait()
@@ -306,7 +293,6 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 		if ch.now > fac.now {
 			fac.now = ch.now
 		}
-		ch.flushGlobalStats()
 	}
 	if deadline >= 0 && fac.now < deadline {
 		fac.now = deadline

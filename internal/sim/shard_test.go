@@ -209,25 +209,6 @@ func TestShardEpochsAndDriverAPI(t *testing.T) {
 	}
 }
 
-// TestSetDefaultShards verifies the package-wide default reaches networks
-// constructed without an explicit option (the hook `fastnet exp -shards`
-// uses to flip whole experiment stacks), and that an explicit WithShards
-// still wins.
-func TestSetDefaultShards(t *testing.T) {
-	defer sim.SetDefaultShards(0)
-	sim.SetDefaultShards(4)
-	g := graph.GNP(96, 0.06, 13)
-	net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil), sim.WithDelays(2, 1))
-	if got := net.Shards(); got <= 1 {
-		t.Fatalf("default-4 network runs on %d shards", got)
-	}
-	classic := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
-		sim.WithDelays(2, 1), sim.WithShards(0))
-	if got := classic.Shards(); got != 1 {
-		t.Fatalf("explicit WithShards(0) did not keep the classic engine (%d shards)", got)
-	}
-}
-
 // FuzzShardCount searches for a shard-count dependence over random graphs,
 // seeds, delay configs, shard counts, and fault profiles (including link
 // flips that cut shard boundaries). Run as a CI fuzz smoke like

@@ -42,7 +42,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
-	"sync/atomic"
+	"sync"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
@@ -67,8 +67,9 @@ type config struct {
 	cap         core.Capacity // finite NCU queues + link token buckets; zero = off
 	cutThrough  bool
 	hopBatch    bool
-	ringWindow  int // 0 = auto-size from the delay envelope; > 0 = fixed (power of two, no auto growth)
-	shards      int // -1 = unset (use package default); 0 = classic; >= 1 = shard mode
+	ringWindow  int        // 0 = auto-size from the delay envelope; > 0 = fixed (power of two, no auto growth)
+	shards      int        // 0 = classic; >= 1 = shard mode
+	stats       *StatsSink // receives each run's scheduler-counter delta; nil = off
 }
 
 // Option configures a Network.
@@ -126,19 +127,6 @@ func WithMsgFaults(f core.MsgFaults) Option {
 	return func(cf *config) { cf.faults = f }
 }
 
-// cutThroughOff is the inverted package-wide default for cut-through
-// switching (inverted so the zero value means "on"). See
-// SetDefaultCutThrough.
-var cutThroughOff atomic.Bool
-
-// SetDefaultCutThrough sets the cut-through default applied to every
-// subsequently constructed Network (per-network WithCutThrough still wins).
-// Cut-through is on by default; differential tests switch whole experiment
-// or soak stacks — which construct their networks internally — onto the
-// unfused reference path with it. Affects construction only: existing
-// networks keep their setting.
-func SetDefaultCutThrough(on bool) { cutThroughOff.Store(!on) }
-
 // WithCutThrough enables or disables cut-through switching for this
 // network. When on (the default), contiguous zero-delay hardware hops of a
 // walk execute inline inside one event; when off, every hop pays the full
@@ -151,18 +139,6 @@ func WithCutThrough(on bool) Option {
 	return func(cf *config) { cf.cutThrough = on }
 }
 
-// hopBatchOff is the inverted package-wide default for (link, instant) hop
-// batching (inverted so the zero value means "on"). See SetDefaultHopBatching.
-var hopBatchOff atomic.Bool
-
-// SetDefaultHopBatching sets the hop-batching default applied to every
-// subsequently constructed Network (per-network WithHopBatching still wins).
-// Batching is on by default; differential tests and reference benchmarks
-// switch whole experiment or soak stacks — which construct their networks
-// internally — onto the one-event-per-hop path with it. Affects construction
-// only: existing networks keep their setting.
-func SetDefaultHopBatching(on bool) { hopBatchOff.Store(!on) }
-
 // WithHopBatching enables or disables (link, instant) hop batching for this
 // network. When on (the default), ring-bound hop events that traverse the
 // same link at the same instant coalesce into one scheduler entry carrying a
@@ -174,18 +150,6 @@ func SetDefaultHopBatching(on bool) { hopBatchOff.Store(!on) }
 func WithHopBatching(on bool) Option {
 	return func(cf *config) { cf.hopBatch = on }
 }
-
-// defaultRingWin is the package-wide ring-window override applied at
-// construction when no per-network WithRingWindow is given; 0 (the initial
-// value) means auto-size. See SetDefaultRingWindow.
-var defaultRingWin atomic.Int64
-
-// SetDefaultRingWindow sets the calendar-ring window applied to every
-// subsequently constructed Network that does not carry an explicit
-// WithRingWindow (which still wins). 0 restores auto-sizing. Like
-// SetDefaultCutThrough it exists so reference benchmarks can pin whole
-// stacks to the historical fixed window from one flag.
-func SetDefaultRingWindow(n int) { defaultRingWin.Store(int64(n)) }
 
 // WithRingWindow fixes the calendar-ring span to n instants (rounded up to a
 // power of two, minimum minRingWindow), disabling the auto-sizer and the
@@ -237,7 +201,7 @@ type Network struct {
 	msgSeq     int64
 	eventCount int64
 	stats      SchedStats // scheduler observability; Events mirrors eventCount on read
-	flushed    SchedStats // portion already added to the global aggregate
+	reported   SchedStats // portion already added to cfg.stats (pushes made outside runs count too)
 
 	// Shard-mode state (see shard.go and docs/PERF.md). In shard mode event
 	// keys, delay draws, fault rolls, and activation/message labels come from
@@ -307,16 +271,11 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 		seed:        1,
 		sink:        trace.Discard{},
 		eventBudget: 50_000_000,
-		cutThrough:  !cutThroughOff.Load(),
-		hopBatch:    !hopBatchOff.Load(),
-		ringWindow:  int(defaultRingWin.Load()),
-		shards:      -1,
+		cutThrough:  true,
+		hopBatch:    true,
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.shards < 0 {
-		cfg.shards = int(defaultShardsN.Load())
 	}
 	pm := core.NewPortMap(g)
 	net := &Network{
@@ -467,55 +426,43 @@ func (net *Network) SchedStats() SchedStats {
 	return s
 }
 
-// globalStats aggregates scheduler counters across every Network in the
-// process, so stacks that construct networks internally (experiments, soak
-// campaigns) can still be observed; each run() flushes its delta on return.
-var globalStats struct {
-	events, heapPushes, lanePushes, ringPushes, batchedHops, ringOverflows, fusedHops atomic.Int64
-	heapPeak, ringPeak                                                                atomic.Int64
+// StatsSink aggregates scheduler counters across every network built with
+// WithStatsSink, so stacks that construct networks internally (experiments,
+// soak campaigns) can still be observed. Safe for concurrent use.
+type StatsSink struct {
+	mu sync.Mutex
+	s  SchedStats
 }
 
-// TakeGlobalSchedStats returns the process-wide scheduler counters
-// accumulated since the last call, and resets them. `fastnet exp -v`
-// reports these per invocation.
-func TakeGlobalSchedStats() SchedStats {
-	return SchedStats{
-		Events:        globalStats.events.Swap(0),
-		HeapPushes:    globalStats.heapPushes.Swap(0),
-		LanePushes:    globalStats.lanePushes.Swap(0),
-		RingPushes:    globalStats.ringPushes.Swap(0),
-		BatchedHops:   globalStats.batchedHops.Swap(0),
-		RingOverflows: globalStats.ringOverflows.Swap(0),
-		FusedHops:     globalStats.fusedHops.Swap(0),
-		HeapPeak:      int(globalStats.heapPeak.Swap(0)),
-		RingPeak:      int(globalStats.ringPeak.Swap(0)),
-	}
+// WithStatsSink reports this network's scheduler counters to k: every Run
+// and RunUntil adds the counters not yet reported (peaks by max). Measurement
+// only — no simulation result depends on it.
+func WithStatsSink(k *StatsSink) Option {
+	return func(cf *config) { cf.stats = k }
 }
 
-// peakMax raises the atomic high-water mark p to at least v.
-func peakMax(p *atomic.Int64, v int64) {
-	for {
-		old := p.Load()
-		if v <= old || p.CompareAndSwap(old, v) {
-			return
-		}
-	}
+// Take returns the counters accumulated since the last Take, and resets
+// them. `fastnet exp -v` reports these per experiment.
+func (k *StatsSink) Take() SchedStats {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	s := k.s
+	k.s = SchedStats{}
+	return s
 }
 
-// flushGlobalStats adds this network's not-yet-flushed counter delta to the
-// process-wide aggregate.
-func (net *Network) flushGlobalStats() {
-	cur := net.SchedStats()
-	globalStats.events.Add(cur.Events - net.flushed.Events)
-	globalStats.heapPushes.Add(cur.HeapPushes - net.flushed.HeapPushes)
-	globalStats.lanePushes.Add(cur.LanePushes - net.flushed.LanePushes)
-	globalStats.ringPushes.Add(cur.RingPushes - net.flushed.RingPushes)
-	globalStats.batchedHops.Add(cur.BatchedHops - net.flushed.BatchedHops)
-	globalStats.ringOverflows.Add(cur.RingOverflows - net.flushed.RingOverflows)
-	globalStats.fusedHops.Add(cur.FusedHops - net.flushed.FusedHops)
-	peakMax(&globalStats.heapPeak, int64(cur.HeapPeak))
-	peakMax(&globalStats.ringPeak, int64(cur.RingPeak))
-	net.flushed = cur
+// add accumulates the counters that advanced from before to after.
+func (k *StatsSink) add(after, before SchedStats) {
+	after.Events -= before.Events
+	after.HeapPushes -= before.HeapPushes
+	after.LanePushes -= before.LanePushes
+	after.RingPushes -= before.RingPushes
+	after.BatchedHops -= before.BatchedHops
+	after.RingOverflows -= before.RingOverflows
+	after.FusedHops -= before.FusedHops
+	k.mu.Lock()
+	k.s.add(after)
+	k.mu.Unlock()
 }
 
 // DeliveriesPerNode returns a copy of the per-node delivery counts.
@@ -756,7 +703,16 @@ func (net *Network) RunUntil(deadline core.Time) (core.Time, error) {
 // coordinator for a multi-shard network, the plain event loop otherwise. A
 // shard-mode serial network additionally flushes its buffered trace through
 // the canonical merge so its stream is byte-identical to a multi-shard run's.
+// With a stats sink attached, the counters not yet reported to it are added
+// on return.
 func (net *Network) runTop(deadline core.Time) (core.Time, error) {
+	if k := net.cfg.stats; k != nil {
+		defer func() {
+			cur := net.SchedStats()
+			k.add(cur, net.reported)
+			net.reported = cur
+		}()
+	}
 	if net.group != nil {
 		return net.group.run(deadline)
 	}
@@ -781,15 +737,8 @@ func (net *Network) runTop(deadline core.Time) (core.Time, error) {
 // promoted slot is sorted by key (the stage) and merged with the heap's
 // residue at t key by key — reproducing exactly the order a single heap
 // would pop. The dispatch order is total and identical to a single (t, seq)
-// priority queue's.
+// priority queue's. Shard workers call it once per window.
 func (net *Network) run(deadline core.Time) (core.Time, error) {
-	defer net.flushGlobalStats()
-	return net.runCore(deadline)
-}
-
-// runCore is the event loop proper; shard workers call it once per window
-// (the per-run bookkeeping of run would be waste there).
-func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 	defer func() { net.curOrigin = -1 }()
 	if deadline >= 0 && deadline < net.now {
 		// Backward RunUntil: spill the lane, stage, and ring into the heap —
@@ -850,7 +799,7 @@ func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 // mode swaps it into the same-time lane wholesale (slot FIFO order is push —
 // i.e. sequence — order, and the empty lane's backing array is reused as the
 // slot's next generation). Shard mode sorts the slot by canonical key into
-// the stage, which runCore merges with the heap's residue at t key by key;
+// the stage, which run merges with the heap's residue at t key by key;
 // same-instant creations during t still go to the lane, which drains only
 // after stage and heap — the canonical "pre-created in key order, then
 // creations in creation order" stream of the pre-ring shard scheduler.
