@@ -18,7 +18,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden so
 
 // goldenSoaks pin full soak result lines (the byte-identical repro target)
 // for a small matrix of configs: plain churn, churn with elections and
-// leader crashes, and a lossy fabric with the reliable-delivery ledger.
+// leader crashes, a lossy fabric with the reliable-delivery ledger, and one
+// config per remaining dimension — reordering (I7), gray slowdowns and
+// stalls (I8), loss bursts, the open-loop load plane (I9) and the sharded
+// scheduler.
 // Each entry runs its soak with the given default sim options.
 func goldenSoaks() map[string]func(...sim.Option) (string, error) {
 	run := func(cfg faults.Config) func(...sim.Option) (string, error) {
@@ -45,6 +48,24 @@ func goldenSoaks() map[string]func(...sim.Option) (string, error) {
 		"lossy-reliable": run(faults.Config{
 			Seed: 5, Epochs: 3, Mode: topology.ModeFlood, Flaps: 1, NoElection: true,
 			Loss: 0.1, Dup: 0.05, Corrupt: 0.02, Jitter: 0.05, Reliable: 8,
+		}),
+		"reorder": run(faults.Config{
+			Seed: 4, Epochs: 3, Flaps: 1, Crashes: 1, Reorder: 0.2, ReorderWindow: 12,
+		}),
+		"gray": run(faults.Config{
+			Seed: 6, Epochs: 3, Flaps: 1, Crashes: 1, Reliable: 4,
+			Slow: 0.2, SlowFactor: 3, Stall: 1, StallTicks: 5,
+		}),
+		"burst": run(faults.Config{
+			Seed: 8, Epochs: 4, Mode: topology.ModeFlood, Flaps: 1, NoElection: true,
+			Loss: 0.1, Jitter: 0.1, Reliable: 4, BurstEvery: 2,
+		}),
+		"open-loop": run(faults.Config{
+			Seed: 3, Epochs: 3, Calls: 2000,
+			Rate: 0.2, Holding: 200, ZipfS: 1.1, NCUCap: 64, LinkCap: 0.5, Loss: 0.02,
+		}),
+		"shards-2": run(faults.Config{
+			Seed: 5, Epochs: 3, Flaps: 1, Crashes: 1, Shards: 2, Loss: 0.02, Reliable: 2,
 		}),
 	}
 }
