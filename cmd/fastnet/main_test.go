@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fastnet/internal/faults"
 )
 
 // TestMain doubles as the child process for the re-exec tests below: when
@@ -215,9 +217,27 @@ func TestRunErrors(t *testing.T) {
 		{"soak", "-mode", "nosuch"},
 		{"soak", "-runtime", "nosuch", "-n", "8", "-epochs", "1"},
 		{"soak", "-epochs", "0"},
+		{"soak", "-n", "-1"},
 	} {
 		if err := run(args); err == nil {
 			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+	}
+	// Soak configs the driver cannot run are typed errors: no panic, no
+	// violation report, no silent rewrite to a default.
+	for _, args := range [][]string{
+		{"soak", "-n", "0"},
+		{"soak", "-n", "1"},
+		{"soak", "-loss", "1.5"},
+		{"soak", "-loss", "-0.5"},
+		{"soak", "-calls", "-3"},
+		{"soak", "-jittermax", "-3"},
+		{"soak", "-max-rounds", "-5"},
+		{"soak", "-rate", "1", "-calls", "0"},
+	} {
+		var ce *faults.ConfigError
+		if err := run(args); !errors.As(err, &ce) {
+			t.Fatalf("run(%v) = %v, want a *faults.ConfigError", args, err)
 		}
 	}
 }

@@ -160,32 +160,9 @@ func TestGrayOffDifferential(t *testing.T) {
 		}
 	}
 	for _, banned := range []string{"-slow", "-stall"} {
-		if repro := base.Repro("gnp", 12); strings.Contains(repro, banned) {
+		if repro := base.Repro("gnp", 12, 0); strings.Contains(repro, banned) {
 			t.Fatalf("gray-free repro grew %q: %s", banned, repro)
 		}
-	}
-}
-
-// TestGrayRepro pins the repro flags: present exactly when configured, with
-// defaults filled in so the line replays the run literally.
-func TestGrayRepro(t *testing.T) {
-	cfg := Config{Seed: 1, Epochs: 2, Slow: 0.3, Stall: 2}
-	repro := cfg.Repro("gnp", 20)
-	for _, want := range []string{
-		"-slow 0.3 -slow-factor 4 -slow-max 8",
-		"-stall 2 -stall-ticks 8",
-	} {
-		if !strings.Contains(repro, want) {
-			t.Fatalf("repro %q misses %q", repro, want)
-		}
-	}
-	slowless := Config{Seed: 1, Epochs: 2, Stall: 1}
-	if repro := slowless.Repro("gnp", 20); strings.Contains(repro, "-slow ") {
-		t.Fatalf("slow flags leaked into a stall-only repro: %s", repro)
-	}
-	stalless := Config{Seed: 1, Epochs: 2, Slow: 0.1}
-	if repro := stalless.Repro("gnp", 20); strings.Contains(repro, "-stall") {
-		t.Fatalf("stall flags leaked into a slow-only repro: %s", repro)
 	}
 }
 
@@ -225,17 +202,40 @@ func FuzzGrayFailure(f *testing.F) {
 		if slow == 0 && stall == 0 {
 			slow = 0.1
 		}
-		g := graph.GNP(10, 0.4, seed%8+1)
+		g := graph.GNP(10, 0.4, seed)
 		cfg := Config{
 			Seed: seed, Epochs: 2, Flaps: 1, Reliable: 3,
 			Loss: loss, Slow: slow, SlowFactor: factor, SlowMax: slowMax, Stall: stall,
 		}
 		res, err := Soak(g, cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.Repro("gnp", 10), err)
+			t.Fatalf("%s: %v", cfg.Repro("gnp", 10, 0.4), err)
 		}
 		if !res.OK() {
-			t.Fatalf("%s: violations: %v", cfg.Repro("gnp", 10), res.Violations)
+			t.Fatalf("%s: violations: %v", cfg.Repro("gnp", 10, 0.4), res.Violations)
 		}
 	})
+}
+
+// TestGrayRepro pins the repro flags: present exactly when configured, with
+// defaults filled in so the line replays the run literally.
+func TestGrayRepro(t *testing.T) {
+	cfg := Config{Seed: 1, Epochs: 2, Slow: 0.3, Stall: 2}
+	repro := cfg.Repro("gnp", 20, 0)
+	for _, want := range []string{
+		"-slow 0.3 -slow-factor 4 -slow-max 8",
+		"-stall 2 -stall-ticks 8",
+	} {
+		if !strings.Contains(repro, want) {
+			t.Fatalf("repro %q misses %q", repro, want)
+		}
+	}
+	slowless := Config{Seed: 1, Epochs: 2, Stall: 1}
+	if repro := slowless.Repro("gnp", 20, 0); strings.Contains(repro, "-slow ") {
+		t.Fatalf("slow flags leaked into a stall-only repro: %s", repro)
+	}
+	stalless := Config{Seed: 1, Epochs: 2, Slow: 0.1}
+	if repro := stalless.Repro("gnp", 20, 0); strings.Contains(repro, "-stall") {
+		t.Fatalf("stall flags leaked into a slow-only repro: %s", repro)
+	}
 }

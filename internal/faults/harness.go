@@ -68,9 +68,6 @@ type gosimHarness struct {
 
 // NewGosimHarness adapts a goroutine network; timeout bounds each Quiesce.
 func NewGosimHarness(net *gosim.Network, timeout time.Duration) Harness {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	return gosimHarness{net, timeout}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"fastnet/internal/core"
 	"fastnet/internal/graph"
 )
 
@@ -113,8 +112,40 @@ func TestSoakFaultFreeLineUnchanged(t *testing.T) {
 	if strings.Contains(line, "reliable(") || strings.Contains(line, "faults(") {
 		t.Fatalf("fault-free line grew new blocks: %s", line)
 	}
-	if repro := cfg.Repro("gnp", 10); strings.Contains(repro, "-loss") {
+	if repro := cfg.Repro("gnp", 10, 0); strings.Contains(repro, "-loss") {
 		t.Fatalf("fault-free repro grew lossy flags: %s", repro)
+	}
+}
+
+// TestMsgFaultSchedules: the per-epoch profile is the configured one every
+// epoch, except every BurstEvery-th epoch, which scales it by BurstScale
+// (default 2) and saturates at probability 1.
+func TestMsgFaultSchedules(t *testing.T) {
+	calm := Config{Loss: 0.1, Dup: 0.05}.withDefaults()
+	base := calm.profile(0)
+	if base.Drop != 0.1 || base.Dup != 0.05 || base.JitterMax != 4 || base.ReorderWindow != 8 {
+		t.Fatalf("base profile %+v does not carry the config and its defaults", base)
+	}
+	for _, e := range []int{0, 3, 17} {
+		if got := calm.profile(e); got != base {
+			t.Fatalf("burst-free profile(%d) = %+v, want %+v", e, got, base)
+		}
+	}
+	bursty := calm
+	bursty.BurstEvery = 3
+	if got := bursty.profile(0); got != base {
+		t.Fatalf("epoch 0 should be calm, got %+v", got)
+	}
+	burst := bursty.profile(2)
+	if burst.Drop != 0.2 || burst.Dup != 0.1 {
+		t.Fatalf("epoch 2 should burst 2x, got %+v", burst)
+	}
+	if got := bursty.profile(3); got != base {
+		t.Fatalf("epoch 3 should be calm again, got %+v", got)
+	}
+	sat := Config{Loss: 0.6, BurstEvery: 1, BurstScale: 5}.withDefaults().profile(0)
+	if sat.Drop > 1 {
+		t.Fatalf("burst scaled past probability 1: %+v", sat)
 	}
 }
 
@@ -122,7 +153,7 @@ func TestSoakFaultFreeLineUnchanged(t *testing.T) {
 // that shaped the run.
 func TestReproRoundTrips(t *testing.T) {
 	cfg := lossyCfg(42, 5)
-	repro := cfg.Repro("ring", 16)
+	repro := cfg.Repro("ring", 16, 0)
 	for _, want := range []string{
 		"-seed 42", "-epochs 5", "-loss 0.25", "-dup 0.1", "-corrupt 0.1",
 		"-jitter 0.1", "-jittermax 4", "-reliable 6", "-burst-every 2", "-burst-scale 2",
@@ -130,31 +161,5 @@ func TestReproRoundTrips(t *testing.T) {
 		if !strings.Contains(repro, want) {
 			t.Fatalf("repro %q misses %q", repro, want)
 		}
-	}
-}
-
-func TestMsgFaultSchedules(t *testing.T) {
-	base := core.MsgFaults{Drop: 0.1, Dup: 0.05}
-	c := ConstantFaults{P: base}
-	for _, e := range []int{0, 3, 17} {
-		if got := c.Profile(e); got != base {
-			t.Fatalf("ConstantFaults.Profile(%d) = %+v, want %+v", e, got, base)
-		}
-	}
-	b := BurstyFaults{Base: base, Every: 3, Scale: 2}
-	if got := b.Profile(0); got != base {
-		t.Fatalf("epoch 0 should be calm, got %+v", got)
-	}
-	burst := b.Profile(2)
-	if burst.Drop != 0.2 || burst.Dup != 0.1 {
-		t.Fatalf("epoch 2 should burst 2x, got %+v", burst)
-	}
-	if got := b.Profile(3); got != base {
-		t.Fatalf("epoch 3 should be calm again, got %+v", got)
-	}
-	// Scaling saturates at probability 1.
-	sat := BurstyFaults{Base: core.MsgFaults{Drop: 0.6}, Every: 1, Scale: 5}.Profile(0)
-	if sat.Drop > 1 {
-		t.Fatalf("burst scaled past probability 1: %+v", sat)
 	}
 }

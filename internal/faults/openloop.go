@@ -27,12 +27,12 @@ import (
 func runOpenLoop(g *graph.Graph, cfg Config, opts []sim.Option) (*Result, error) {
 	res := &Result{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		profile := cfg.schedule().Profile(epoch)
+		profile := cfg.profile(epoch)
 		lc := load.Config{
 			Seed:    cfg.Seed*1000003 + int64(epoch)*65599 + 17,
 			Calls:   cfg.Calls,
 			Rate:    cfg.Rate * float64(epoch+1),
-			Holding: core.Time(cfg.olHolding()),
+			Holding: core.Time(cfg.Holding),
 			Zipf:    cfg.ZipfS,
 			Faults:  profile,
 			Capacity: core.Capacity{

@@ -88,7 +88,7 @@ func TestSoakOpenLoopGosimRejected(t *testing.T) {
 // reproduces the run bit for bit.
 func TestReproOpenLoop(t *testing.T) {
 	cfg := Config{Seed: 9, Epochs: 4, Calls: 2000, Rate: 0.3, ZipfS: 1.1, NCUCap: 16, LinkCap: 0.5}
-	repro := cfg.Repro("gnp", 32)
+	repro := cfg.Repro("gnp", 32, 0)
 	for _, want := range []string{
 		"-rate 0.3", "-holding 256", "-zipf 1.1", "-ncu-cap 16", "-link-cap 0.5",
 	} {
@@ -97,7 +97,7 @@ func TestReproOpenLoop(t *testing.T) {
 		}
 	}
 	classic := Config{Seed: 9, Epochs: 4, Calls: 2}
-	if r := classic.Repro("gnp", 32); strings.Contains(r, "-rate") {
+	if r := classic.Repro("gnp", 32, 0); strings.Contains(r, "-rate") {
 		t.Fatalf("classic repro grew open-loop flags: %s", r)
 	}
 }

@@ -62,11 +62,11 @@ func TestReorderSoakGosim(t *testing.T) {
 // byte-identical repro lines.
 func TestReorderRepro(t *testing.T) {
 	plain := faults.Config{Seed: 1, Epochs: 2, Loss: 0.1}
-	if got := plain.Repro("gnp", 20); strings.Contains(got, "reorder") {
+	if got := plain.Repro("gnp", 20, 0); strings.Contains(got, "reorder") {
 		t.Fatalf("reorder flags leaked into a reorder-free repro: %s", got)
 	}
 	cfg := faults.Config{Seed: 1, Epochs: 2, Reorder: 0.2}
-	got := cfg.Repro("gnp", 20)
+	got := cfg.Repro("gnp", 20, 0)
 	if !strings.Contains(got, "-reorder 0.2 -reorder-window 8") {
 		t.Fatalf("repro missing reorder flags: %s", got)
 	}

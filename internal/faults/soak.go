@@ -2,13 +2,11 @@ package faults
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
-	"time"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/calls"
@@ -21,227 +19,6 @@ import (
 	"fastnet/internal/sim"
 	"fastnet/internal/topology"
 )
-
-// Config parameterizes a soak run. The zero value is not useful; set at
-// least Epochs and one fault source. Every random decision — schedules,
-// call placement, election starters — derives from Seed, so a run is
-// reproducible bit for bit on the discrete-event runtime.
-type Config struct {
-	Seed    int64
-	Epochs  int
-	Runtime string        // "des" (default) or "gosim"
-	Mode    topology.Mode // topology maintenance protocol (default branching)
-
-	Flaps          int // link flaps per epoch
-	FlapLen        int // steps a flapped link stays down (default 1)
-	PartitionEvery int // epochs between correlated cut faults (0 = off)
-	PartitionHeal  int // epochs until a cut heals (default 1)
-	Crashes        int // node crashes per epoch
-	Downtime       int // epochs a crashed node stays down (default 1)
-	Adversary      bool
-	LeaderCrash    float64 // per-epoch probability of crashing the leader
-
-	// Lossy-link profile (core.MsgFaults probabilities). When any of these
-	// is nonzero the soak runs its message-fault phases: convergence (I1),
-	// the reliable-delivery ledger (I6) and the down-direction link probes
-	// (I4) happen on the lossy fabric; exact-state checks (call state,
-	// up-direction probes) run after healing it, since arbitrary loss can
-	// legitimately defeat the liveness they assert.
-	Loss      float64 // per-traversal drop probability
-	Dup       float64 // per-traversal duplication probability
-	Corrupt   float64 // per-traversal corruption probability
-	Jitter    float64 // per-traversal extra-delay probability
-	JitterMax int     // max extra delay in time units (default 4)
-	// Reorder is the per-traversal FIFO-violation probability. Besides
-	// joining the fabric profile, a nonzero value arms invariant I7: each
-	// epoch the largest live component re-runs the election under random
-	// delays plus a reorder-only profile, and must still elect a single
-	// leader owning the whole component.
-	Reorder       float64
-	ReorderWindow int // max hold-back delay in time units (default 8)
-
-	// Gray-failure profile. Slow joins the fabric as the per-traversal
-	// slowdown probability (core.MsgFaults.Slowdown); Stall injects seeded
-	// NCU-stall windows into the fabric each epoch. A nonzero value in
-	// either arms invariant I8: an adaptive (phi-accrual) failure detector
-	// watching a live-but-slowed/stalled leader must raise zero suspicions,
-	// and the election must still complete within the I7 bound with
-	// slowdown in the profile.
-	Slow       float64 // per-traversal gray-link slowdown probability
-	SlowFactor float64 // hardware-delay multiplier of a slowed hop (default 4)
-	SlowMax    int     // max additive inflation in time units (default 8)
-	Stall      int     // NCU stalls injected per epoch
-	StallTicks int     // stall window length (default 8)
-
-	// BurstEvery > 0 scales the profile by BurstScale every BurstEvery-th
-	// epoch (loss comes in storms, not as a stationary rate).
-	BurstEvery int
-	BurstScale float64 // default 2
-
-	// Reliable is the number of end-to-end reliable messages sent per epoch
-	// between random live pairs while the fabric is lossy; invariant I6
-	// checks the delivery ledger (exactly once each, nothing phantom).
-	Reliable int
-
-	Calls      int  // calls set up (and failure-checked) per epoch
-	NoElection bool // skip the per-epoch re-election invariant
-
-	// Open-loop load plane (DES runtime only). Rate > 0 switches the soak
-	// from the churn loop into its open-loop mode: each epoch runs one
-	// load-engine sweep of Calls arrivals at Rate*(epoch+1) calls per tick
-	// (a rising-pressure rate sweep), checking invariant I9 — the call
-	// ledger settles every generated call exactly once, and nothing is
-	// blocked or dropped unless an overload source (a capacity limit or a
-	// fault profile) is declared.
-	Rate    float64 // base arrival rate in calls per tick (0 = classic soak)
-	Holding int     // mean call-holding time in ticks (default 256)
-	ZipfS   float64 // endpoint-popularity skew exponent (0 = uniform)
-	NCUCap  int     // finite NCU service queue (Capacity.NCUQueue; 0 = unlimited)
-	LinkCap float64 // per-link token refill rate (Capacity.LinkRate; 0 = unlimited)
-
-	// Shards > 0 runs the DES fabric on the sharded space-parallel scheduler
-	// with that many event cores (see sim.WithShards). Because shard mode
-	// needs a nonzero lookahead, the fabric's hardware delay becomes 1 instead
-	// of the classic soak's 0 — a sharded soak is therefore a different (but
-	// per-shard-count deterministic) schedule than the Shards == 0 soak, not a
-	// reparallelization of it. DES runtime only; ignored under gosim.
-	Shards int
-
-	MaxRounds int           // convergence-round cap (default n+8)
-	Timeout   time.Duration // per-quiescence bound, goroutine runtime only
-	Verbose   io.Writer     // optional per-epoch progress lines
-}
-
-// Repro renders the fastnet soak invocation that reproduces this config on
-// topology topo/n; the soak driver prints it when an invariant fails.
-func (cfg Config) Repro(topo string, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fastnet soak -runtime %s -topo %s -n %d -seed %d -epochs %d -mode %s",
-		cfg.runtime(), topo, n, cfg.Seed, cfg.Epochs, cfg.Mode)
-	fmt.Fprintf(&b, " -flaps %d -flaplen %d -partition-every %d -partition-heal %d -crashes %d -downtime %d -calls %d -leader-crash %g",
-		cfg.Flaps, max(1, cfg.FlapLen), cfg.PartitionEvery, max(1, cfg.PartitionHeal),
-		cfg.Crashes, max(1, cfg.Downtime), cfg.Calls, cfg.LeaderCrash)
-	if cfg.lossy() {
-		fmt.Fprintf(&b, " -loss %g -dup %g -corrupt %g -jitter %g -jittermax %d -reliable %d",
-			cfg.Loss, cfg.Dup, cfg.Corrupt, cfg.Jitter, cfg.jitterMax(), cfg.Reliable)
-		if cfg.Reorder > 0 {
-			fmt.Fprintf(&b, " -reorder %g -reorder-window %d", cfg.Reorder, cfg.reorderWindow())
-		}
-		if cfg.Slow > 0 {
-			fmt.Fprintf(&b, " -slow %g -slow-factor %g -slow-max %d", cfg.Slow, cfg.slowFactor(), cfg.slowMax())
-		}
-		if cfg.BurstEvery > 0 {
-			fmt.Fprintf(&b, " -burst-every %d -burst-scale %g", cfg.BurstEvery, cfg.burstScale())
-		}
-	}
-	if cfg.Stall > 0 {
-		fmt.Fprintf(&b, " -stall %d -stall-ticks %d", cfg.Stall, cfg.stallTicks())
-	}
-	if cfg.Rate > 0 {
-		fmt.Fprintf(&b, " -rate %g -holding %d -zipf %g -ncu-cap %d -link-cap %g",
-			cfg.Rate, cfg.olHolding(), cfg.ZipfS, cfg.NCUCap, cfg.LinkCap)
-	}
-	if cfg.MaxRounds > 0 {
-		fmt.Fprintf(&b, " -max-rounds %d", cfg.MaxRounds)
-	}
-	if cfg.Shards > 0 {
-		fmt.Fprintf(&b, " -shards %d", cfg.Shards)
-	}
-	if cfg.Adversary {
-		b.WriteString(" -adversary")
-	}
-	if cfg.NoElection {
-		b.WriteString(" -no-election")
-	}
-	return b.String()
-}
-
-// msgFaults renders the configured base lossy-link profile. Gray fields are
-// populated only when Slow is set, so gray-free configs build a profile
-// byte-identical to what they built before the slowdown dimension existed.
-func (cfg Config) msgFaults() core.MsgFaults {
-	f := core.MsgFaults{
-		Drop: cfg.Loss, Dup: cfg.Dup, Corrupt: cfg.Corrupt,
-		Jitter: cfg.Jitter, JitterMax: core.Time(cfg.jitterMax()),
-		Reorder: cfg.Reorder, ReorderWindow: core.Time(cfg.reorderWindow()),
-	}
-	if cfg.Slow > 0 {
-		f.Slowdown = cfg.Slow
-		f.SlowFactor = cfg.slowFactor()
-		f.SlowMax = core.Time(cfg.slowMax())
-	}
-	return f
-}
-
-// lossy reports whether any message-fault phase is configured.
-func (cfg Config) lossy() bool { return cfg.msgFaults().Enabled() || cfg.Reliable > 0 }
-
-func (cfg Config) jitterMax() int {
-	if cfg.JitterMax <= 0 {
-		return 4
-	}
-	return cfg.JitterMax
-}
-
-func (cfg Config) reorderWindow() int {
-	if cfg.ReorderWindow <= 0 {
-		return 8
-	}
-	return cfg.ReorderWindow
-}
-
-func (cfg Config) slowFactor() float64 {
-	if cfg.SlowFactor <= 0 {
-		return 4
-	}
-	return cfg.SlowFactor
-}
-
-func (cfg Config) slowMax() int {
-	if cfg.SlowMax <= 0 {
-		return 8
-	}
-	return cfg.SlowMax
-}
-
-func (cfg Config) olHolding() int {
-	if cfg.Holding <= 0 {
-		return 256
-	}
-	return cfg.Holding
-}
-
-func (cfg Config) stallTicks() int {
-	if cfg.StallTicks <= 0 {
-		return 8
-	}
-	return cfg.StallTicks
-}
-
-// gray reports whether any gray-failure dimension is configured (arms I8).
-func (cfg Config) gray() bool { return cfg.Slow > 0 || cfg.Stall > 0 }
-
-func (cfg Config) burstScale() float64 {
-	if cfg.BurstScale <= 0 {
-		return 2
-	}
-	return cfg.BurstScale
-}
-
-// schedule builds the per-epoch profile schedule from the config.
-func (cfg Config) schedule() MsgFaultSchedule {
-	if cfg.BurstEvery > 0 {
-		return BurstyFaults{Base: cfg.msgFaults(), Every: cfg.BurstEvery, Scale: cfg.burstScale()}
-	}
-	return ConstantFaults{P: cfg.msgFaults()}
-}
-
-func (cfg Config) runtime() string {
-	if cfg.Runtime == "" {
-		return "des"
-	}
-	return cfg.Runtime
-}
 
 // Result aggregates a soak run. All counters are deterministic functions of
 // (graph, Config) on the discrete-event runtime, so Line is byte-identical
@@ -453,18 +230,17 @@ type callInfo struct {
 
 // soakRun is the per-run state of the driver.
 type soakRun struct {
-	cfg   Config
-	opts  []sim.Option // the caller's defaults for every DES network the soak builds
-	g     *graph.Graph
-	h     Harness
-	st    *State
-	rng   *rand.Rand
-	gens  []Generator
-	sched MsgFaultSchedule
-	wit   *Witness
-	book  *probeBook
-	rel   *relBook
-	res   *Result
+	cfg  Config
+	opts []sim.Option // the caller's defaults for every DES network the soak builds
+	g    *graph.Graph
+	h    Harness
+	st   *State
+	rng  *rand.Rand
+	gens []Generator
+	wit  *Witness
+	book *probeBook
+	rel  *relBook
+	res  *Result
 
 	pend    map[int][]Event // soak-scheduled events (leader crashes)
 	stalls  Stalls          // zero-valued unless cfg.Stall > 0
@@ -474,52 +250,54 @@ type soakRun struct {
 }
 
 // Soak runs the invariant-checked churn loop on g and reports the result.
-// A non-nil error means the run itself broke (runtime error, event-budget
-// exhaustion); invariant violations are reported in Result.Violations.
-// opts are the defaults of every discrete-event network the soak builds;
-// the soak's own options follow them, so the soak's settings win.
+// An invalid config or a graph of fewer than two nodes is a *ConfigError.
+// Any other non-nil error means the run itself broke (runtime error,
+// event-budget exhaustion); invariant violations are reported in
+// Result.Violations. opts are the defaults of every discrete-event network
+// the soak builds; the soak's own options follow them, so the soak's
+// settings win.
 func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
-	if cfg.Epochs <= 0 {
-		return nil, fmt.Errorf("faults: Epochs must be positive")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	if g.N() < 2 {
+		return nil, &ConfigError{Flag: "n", Value: strconv.Itoa(g.N()), Want: "a graph of at least 2 nodes"}
+	}
+	cfg = cfg.withDefaults()
 	if cfg.Rate > 0 {
-		if cfg.runtime() != "des" {
-			return nil, fmt.Errorf("faults: the open-loop mode needs the discrete-event runtime, not %q", cfg.Runtime)
-		}
 		return runOpenLoop(g, cfg, opts)
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = topology.ModeBranching
+	if cfg.MaxRounds == 0 {
+		cfg.MaxRounds = g.N() + 8
 	}
 	r := &soakRun{
-		cfg:   cfg,
-		opts:  opts,
-		g:     g,
-		st:    NewState(g),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		sched: cfg.schedule(),
-		book:  &probeBook{echo: make(map[int64]bool)},
-		rel:   &relBook{got: make(map[uint64][]core.NodeID)},
-		res:   &Result{},
-		pend:  make(map[int][]Event),
+		cfg:  cfg,
+		opts: opts,
+		g:    g,
+		st:   NewState(g),
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		book: &probeBook{echo: make(map[int64]bool)},
+		rel:  &relBook{got: make(map[uint64][]core.NodeID)},
+		res:  &Result{},
+		pend: make(map[int][]Event),
 	}
 	if cfg.Adversary {
 		r.wit = &Witness{}
 	}
 	if cfg.Flaps > 0 {
-		r.gens = append(r.gens, Flaps{PerEpoch: cfg.Flaps, Len: max(1, cfg.FlapLen), Steps: 2})
+		r.gens = append(r.gens, Flaps{PerEpoch: cfg.Flaps, Len: cfg.FlapLen, Steps: 2})
 	}
 	if cfg.PartitionEvery > 0 {
-		r.gens = append(r.gens, &Partitions{Every: cfg.PartitionEvery, Heal: max(1, cfg.PartitionHeal)})
+		r.gens = append(r.gens, &Partitions{Every: cfg.PartitionEvery, Heal: cfg.PartitionHeal})
 	}
 	if cfg.Crashes > 0 {
-		r.gens = append(r.gens, &Churn{PerEpoch: cfg.Crashes, Downtime: max(1, cfg.Downtime)})
+		r.gens = append(r.gens, &Churn{PerEpoch: cfg.Crashes, Downtime: cfg.Downtime})
 	}
 	if cfg.Adversary {
 		r.gens = append(r.gens, &Adversary{Witness: r.wit})
 	}
 	if cfg.Stall > 0 {
-		r.stalls = Stalls{PerEpoch: cfg.Stall, Window: core.Time(cfg.stallTicks())}
+		r.stalls = Stalls{PerEpoch: cfg.Stall, Window: core.Time(cfg.StallTicks)}
 	}
 
 	// View-routed modes run the full-knowledge variant: the incremental one
@@ -545,8 +323,7 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 		}
 	}
 	dmax := topology.DefaultDmax(cfg.Mode, g.N())
-	switch cfg.runtime() {
-	case "des":
+	if cfg.Runtime == "des" {
 		opts := r.simOpts(
 			sim.WithDelays(0, 1), sim.WithSeed(cfg.Seed), sim.WithDmax(dmax),
 			sim.WithEventBudget(500_000_000),
@@ -560,14 +337,12 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 			opts = append(opts, sim.WithTrace(r.wit))
 		}
 		r.h = NewSimHarness(sim.New(g, factory, opts...))
-	case "gosim":
+	} else {
 		opts := []gosim.Option{gosim.WithSeed(cfg.Seed), gosim.WithDmax(dmax)}
 		if r.wit != nil {
 			opts = append(opts, gosim.WithTrace(r.wit))
 		}
 		r.h = NewGosimHarness(gosim.New(g, factory, opts...), cfg.Timeout)
-	default:
-		return nil, fmt.Errorf("faults: unknown runtime %q", cfg.Runtime)
 	}
 	defer r.h.Close()
 	err := r.run()
@@ -582,13 +357,6 @@ func (r *soakRun) node(u core.NodeID) *soakNode { return r.h.Protocol(u).(*soakN
 // simOpts returns the caller's defaults followed by own, in a fresh slice.
 func (r *soakRun) simOpts(own ...sim.Option) []sim.Option {
 	return append(slices.Clip(r.opts), own...)
-}
-
-func (r *soakRun) maxRounds() int {
-	if r.cfg.MaxRounds > 0 {
-		return r.cfg.MaxRounds
-	}
-	return r.g.N() + 8
 }
 
 func (r *soakRun) violate(epoch, inv int, format string, a ...any) {
@@ -626,7 +394,7 @@ func (r *soakRun) converged() (string, bool) {
 // the last witness of staleness).
 func (r *soakRun) convergeRounds() (int, string, error) {
 	witness := ""
-	for round := 1; round <= r.maxRounds(); round++ {
+	for round := 1; round <= r.cfg.MaxRounds; round++ {
 		for u := 0; u < r.g.N(); u++ {
 			r.h.Inject(core.NodeID(u), topology.Trigger{})
 		}
@@ -646,7 +414,7 @@ func (r *soakRun) run() error {
 	if rounds, witness, err := r.convergeRounds(); err != nil {
 		return err
 	} else if rounds < 0 {
-		r.violate(-1, 1, "no convergence on the pristine topology within %d rounds: %s", r.maxRounds(), witness)
+		r.violate(-1, 1, "no convergence on the pristine topology within %d rounds: %s", r.cfg.MaxRounds, witness)
 		return nil
 	}
 	for epoch := 0; epoch < r.cfg.Epochs; epoch++ {
@@ -682,7 +450,7 @@ func (r *soakRun) epoch(epoch int) (bool, error) {
 	if r.wit != nil {
 		r.wit.Reset()
 	}
-	profile := r.sched.Profile(epoch)
+	profile := r.cfg.profile(epoch)
 
 	// Set up calls at quiescence so the failure-driven teardown invariant
 	// is exercised from a clean state.
@@ -727,7 +495,7 @@ func (r *soakRun) epoch(epoch int) (bool, error) {
 		return false, err
 	}
 	if rounds < 0 {
-		r.violate(epoch, 1, "databases did not match the ground truth within %d broadcast rounds: %s", r.maxRounds(), witness)
+		r.violate(epoch, 1, "databases did not match the ground truth within %d broadcast rounds: %s", r.cfg.MaxRounds, witness)
 		return false, nil
 	}
 	r.res.ConvRounds += rounds
@@ -744,24 +512,23 @@ func (r *soakRun) epoch(epoch int) (bool, error) {
 
 	// I2: the largest live component elects exactly one leader whose
 	// domain covers the component.
-	if !r.cfg.NoElection {
-		if ok, err := r.checkElection(epoch); err != nil || !ok {
-			return ok, err
+	if live, comp := r.largestComponent(); !r.cfg.NoElection && len(comp) >= 2 {
+		sub, ids := inducedSubgraph(live, comp)
+		if !r.checkElection(epoch, sub, ids) {
+			return false, nil
 		}
 		// I7: the election survives non-FIFO links — re-run it under random
 		// delays plus a reorder-only profile; the single-leader/full-domain
 		// invariant must hold with the stale-tree recovery paths live.
-		if r.cfg.Reorder > 0 {
-			if ok, err := r.checkReorderElection(epoch); err != nil || !ok {
-				return ok, err
-			}
+		if r.cfg.Reorder > 0 && !r.checkReorderElection(epoch, sub, ids) {
+			return false, nil
 		}
 		// I8: gray failures degrade, never kill — an adaptive detector must
 		// raise zero suspicions against a live-but-slowed/stalled leader,
 		// and with slowdown in the profile the election must still complete
 		// within the I7 bound.
-		if r.cfg.gray() {
-			if ok, err := r.checkGray(epoch); err != nil || !ok {
+		if r.cfg.Slow > 0 || r.cfg.Stall > 0 {
+			if ok, err := r.checkGray(epoch, sub, ids); err != nil || !ok {
 				return ok, err
 			}
 		}
@@ -883,17 +650,11 @@ func (r *soakRun) checkReliable(epoch int, profile core.MsgFaults) (bool, error)
 	if r.cfg.Reliable <= 0 {
 		return true, nil
 	}
-	live := r.st.Live()
-	trees := newTreeMemo(live)
-	var comp []core.NodeID
-	for _, c := range live.Components() {
-		if len(c) > len(comp) {
-			comp = c
-		}
-	}
+	live, comp := r.largestComponent()
 	if len(comp) < 2 {
 		return true, nil
 	}
+	trees := newTreeMemo(live)
 	pm := r.h.PortMap()
 	type ledgerEntry struct {
 		token    uint64
@@ -1044,54 +805,74 @@ func (r *soakRun) checkCalls(epoch int, infos []callInfo) (bool, error) {
 	return true, nil
 }
 
-// checkElection verifies invariant I2 on the largest live component: the §4
-// algorithm elects exactly one leader, its domain covers the component, and
-// the tour cost respects Theorem 5's 6n bound. With probability LeaderCrash
-// the elected leader is crashed next epoch (and restored after Downtime).
-func (r *soakRun) checkElection(epoch int) (bool, error) {
+// largestComponent returns the live topology and its largest component.
+func (r *soakRun) largestComponent() (*graph.Graph, []core.NodeID) {
 	live := r.st.Live()
-	comps := live.Components()
 	var comp []core.NodeID
-	for _, c := range comps {
+	for _, c := range live.Components() {
 		if len(c) > len(comp) {
 			comp = c
 		}
 	}
-	if len(comp) < 2 {
-		return true, nil // nothing to elect over
-	}
-	sub, ids := inducedSubgraph(live, comp)
-	nStart := 1 + r.rng.Intn(min(3, len(comp)))
-	perm := r.rng.Perm(len(comp))
-	starters := make([]core.NodeID, nStart)
-	for i := 0; i < nStart; i++ {
-		starters[i] = core.NodeID(perm[i])
-	}
+	return live, comp
+}
+
+// elect runs the §4 election on sub, the largest live component (ids maps
+// its nodes back to the soak graph), on the soak's runtime, and checks
+// invariant inv: exactly one leader, whose domain covers the component,
+// within Theorem 5's 6n algorithm messages. A nil profile runs the plain
+// election; otherwise the profile's message faults join the run, plus
+// randomized hardware delays on the discrete-event runtime. kind prefixes
+// the violation text.
+func (r *soakRun) elect(epoch, inv int, kind string, sub *graph.Graph, ids, starters []core.NodeID, seed int64, profile *core.MsgFaults) (election.Result, bool) {
 	var (
 		res election.Result
 		err error
 	)
-	seed := r.cfg.Seed + int64(epoch) + 1
-	if r.cfg.runtime() == "gosim" {
-		timeout := r.cfg.Timeout
-		if timeout <= 0 {
-			timeout = 30 * time.Second
+	if r.cfg.Runtime == "gosim" {
+		var opts []gosim.Option
+		if profile != nil {
+			opts = append(opts, gosim.WithMsgFaults(*profile))
 		}
-		res, err = election.RunAsync(sub, election.AlgoToken, starters, seed, timeout)
+		res, err = election.RunAsync(sub, election.AlgoToken, starters, seed, r.cfg.Timeout, opts...)
 	} else {
-		res, err = election.Run(sub, election.AlgoToken, starters, r.simOpts(sim.WithSeed(seed))...)
+		opts := []sim.Option{sim.WithSeed(seed)}
+		if profile != nil {
+			opts = []sim.Option{sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed), sim.WithMsgFaults(*profile)}
+		}
+		res, err = election.Run(sub, election.AlgoToken, starters, r.simOpts(opts...)...)
 	}
-	if err != nil {
-		r.violate(epoch, 2, "re-election on the largest component (%d nodes): %v", len(comp), err)
-		return false, nil
+	n := sub.N()
+	switch {
+	case err != nil:
+		r.violate(epoch, inv, "%sre-election on the largest component (%d nodes): %v", kind, n, err)
+	case res.LeaderDomain != n:
+		r.violate(epoch, inv, "%selection: leader %d has domain %d, want the whole component (%d)",
+			kind, ids[res.Leader], res.LeaderDomain, n)
+	case res.AlgorithmMessages > int64(6*n):
+		r.violate(epoch, inv, "%selection used %d algorithm messages, above Theorem 5's bound %d",
+			kind, res.AlgorithmMessages, 6*n)
+	default:
+		return res, true
 	}
-	if res.LeaderDomain != len(comp) {
-		r.violate(epoch, 2, "leader %d has domain %d, want the whole component (%d)", ids[res.Leader], res.LeaderDomain, len(comp))
-		return false, nil
+	return res, false
+}
+
+// checkElection verifies invariant I2 on the largest live component: the §4
+// algorithm, started at one to three random nodes, elects exactly one leader
+// whose domain covers the component, within Theorem 5's 6n bound. With
+// probability LeaderCrash the elected leader is crashed next epoch (and
+// restored after Downtime).
+func (r *soakRun) checkElection(epoch int, sub *graph.Graph, ids []core.NodeID) bool {
+	nStart := 1 + r.rng.Intn(min(3, sub.N()))
+	perm := r.rng.Perm(sub.N())
+	starters := make([]core.NodeID, nStart)
+	for i := range starters {
+		starters[i] = core.NodeID(perm[i])
 	}
-	if bound := int64(6 * len(comp)); res.AlgorithmMessages > bound {
-		r.violate(epoch, 2, "election used %d algorithm messages, above Theorem 5's bound %d", res.AlgorithmMessages, bound)
-		return false, nil
+	res, ok := r.elect(epoch, 2, "", sub, ids, starters, r.cfg.Seed+int64(epoch)+1, nil)
+	if !ok {
+		return false
 	}
 	r.res.Elections++
 	r.res.ReelectMsgs += res.AlgorithmMessages
@@ -1102,10 +883,10 @@ func (r *soakRun) checkElection(epoch int) (bool, error) {
 	if r.cfg.LeaderCrash > 0 && r.rng.Float64() < r.cfg.LeaderCrash {
 		leader := ids[res.Leader]
 		r.pend[epoch+1] = append(r.pend[epoch+1], Event{Step: 0, Kind: Crash, U: leader})
-		back := epoch + 1 + max(1, r.cfg.Downtime)
+		back := epoch + 1 + r.cfg.Downtime
 		r.pend[back] = append(r.pend[back], Event{Step: 0, Kind: Restore, U: leader})
 	}
-	return true, nil
+	return true
 }
 
 // checkReorderElection verifies invariant I7 on the largest live component:
@@ -1115,54 +896,14 @@ func (r *soakRun) checkElection(epoch int) (bool, error) {
 // election assumes reliable-or-declared-down links). The run's recovery
 // counters are accumulated so the soak line shows how often the stale-tree
 // fallbacks actually fired.
-func (r *soakRun) checkReorderElection(epoch int) (bool, error) {
-	live := r.st.Live()
-	comps := live.Components()
-	var comp []core.NodeID
-	for _, c := range comps {
-		if len(c) > len(comp) {
-			comp = c
-		}
+func (r *soakRun) checkReorderElection(epoch int, sub *graph.Graph, ids []core.NodeID) bool {
+	profile := core.MsgFaults{Reorder: r.cfg.Reorder, ReorderWindow: core.Time(r.cfg.ReorderWindow)}
+	res, ok := r.elect(epoch, 7, "reordered ", sub, ids, allOf(sub.N()), r.cfg.Seed*1000003+int64(epoch)+7, &profile)
+	if ok {
+		r.res.ReorderElections++
+		r.res.ReorderRecoveries += res.Stats.Recoveries.Load()
 	}
-	if len(comp) < 2 {
-		return true, nil
-	}
-	sub, ids := inducedSubgraph(live, comp)
-	profile := core.MsgFaults{Reorder: r.cfg.Reorder, ReorderWindow: core.Time(r.cfg.reorderWindow())}
-	seed := r.cfg.Seed*1000003 + int64(epoch) + 7
-	var (
-		res election.Result
-		err error
-	)
-	if r.cfg.runtime() == "gosim" {
-		timeout := r.cfg.Timeout
-		if timeout <= 0 {
-			timeout = 30 * time.Second
-		}
-		res, err = election.RunAsync(sub, election.AlgoToken, allOf(len(comp)), seed, timeout,
-			gosim.WithMsgFaults(profile))
-	} else {
-		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)), r.simOpts(
-			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
-			sim.WithMsgFaults(profile))...)
-	}
-	if err != nil {
-		r.violate(epoch, 7, "reordered re-election on the largest component (%d nodes): %v", len(comp), err)
-		return false, nil
-	}
-	if res.LeaderDomain != len(comp) {
-		r.violate(epoch, 7, "reordered election: leader %d has domain %d, want the whole component (%d)",
-			ids[res.Leader], res.LeaderDomain, len(comp))
-		return false, nil
-	}
-	if bound := int64(6 * len(comp)); res.AlgorithmMessages > bound {
-		r.violate(epoch, 7, "reordered election used %d algorithm messages, above Theorem 5's bound %d",
-			res.AlgorithmMessages, bound)
-		return false, nil
-	}
-	r.res.ReorderElections++
-	r.res.ReorderRecoveries += res.Stats.Recoveries.Load()
-	return true, nil
+	return ok
 }
 
 // checkGray verifies invariant I8 on the largest live component, in two
@@ -1177,30 +918,14 @@ func (r *soakRun) checkReorderElection(epoch int) (bool, error) {
 // the profile the §4 election must still elect one leader owning the whole
 // component within Theorem 5's message bound — gray links stretch the
 // election, they must not wedge it.
-func (r *soakRun) checkGray(epoch int) (bool, error) {
-	live := r.st.Live()
-	comps := live.Components()
-	var comp []core.NodeID
-	for _, c := range comps {
-		if len(c) > len(comp) {
-			comp = c
-		}
-	}
-	if len(comp) < 2 {
-		return true, nil
-	}
-	sub, ids := inducedSubgraph(live, comp)
+func (r *soakRun) checkGray(epoch int, sub *graph.Graph, ids []core.NodeID) (bool, error) {
 	var slowOnly core.MsgFaults
 	if r.cfg.Slow > 0 {
 		slowOnly = core.MsgFaults{
 			Slowdown:   r.cfg.Slow,
-			SlowFactor: r.cfg.slowFactor(),
-			SlowMax:    core.Time(r.cfg.slowMax()),
+			SlowFactor: r.cfg.SlowFactor,
+			SlowMax:    core.Time(r.cfg.SlowMax),
 		}
-	}
-	timeout := r.cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
 	}
 
 	// Phase 1: the detector scenario. Leader is local node 0 (ground truth
@@ -1244,7 +969,7 @@ func (r *soakRun) checkGray(epoch int) (bool, error) {
 		}
 		return nil
 	}
-	if r.cfg.runtime() == "gosim" {
+	if r.cfg.Runtime == "gosim" {
 		// No time model: the quiescence barrier between beats stands in for
 		// the probe period, and the leader stall is an activation-count
 		// window of deschedules. The detector must stay unsuspicious while
@@ -1256,14 +981,14 @@ func (r *soakRun) checkGray(epoch int) (bool, error) {
 		}
 		for i := 1; i <= beats; i++ {
 			if r.cfg.Stall > 0 && i == beats/2 {
-				net.StallNode(leader, core.Time(2*sub.N()), core.Time(r.cfg.stallTicks()))
+				net.StallNode(leader, core.Time(2*sub.N()), core.Time(r.cfg.StallTicks))
 			}
 			for v := 0; v < sub.N(); v++ {
 				if core.NodeID(v) != leader {
 					net.Inject(core.NodeID(v), election.BeatTick{})
 				}
 			}
-			if err := net.AwaitQuiescence(timeout); err != nil {
+			if err := net.AwaitQuiescence(r.cfg.Timeout); err != nil {
 				net.Shutdown()
 				return false, fmt.Errorf("faults: gray detector scenario: %w", err)
 			}
@@ -1333,33 +1058,9 @@ func (r *soakRun) checkGray(epoch int) (bool, error) {
 	profile := slowOnly
 	if r.cfg.Reorder > 0 {
 		profile.Reorder = r.cfg.Reorder
-		profile.ReorderWindow = core.Time(r.cfg.reorderWindow())
+		profile.ReorderWindow = core.Time(r.cfg.ReorderWindow)
 	}
-	eseed := r.cfg.Seed*1000003 + int64(epoch) + 13
-	var (
-		res election.Result
-		err error
-	)
-	if r.cfg.runtime() == "gosim" {
-		res, err = election.RunAsync(sub, election.AlgoToken, allOf(len(comp)), eseed, timeout,
-			gosim.WithMsgFaults(profile))
-	} else {
-		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)), r.simOpts(
-			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(eseed),
-			sim.WithMsgFaults(profile))...)
-	}
-	if err != nil {
-		r.violate(epoch, 8, "gray re-election on the largest component (%d nodes): %v", len(comp), err)
-		return false, nil
-	}
-	if res.LeaderDomain != len(comp) {
-		r.violate(epoch, 8, "gray election: leader %d has domain %d, want the whole component (%d)",
-			ids[res.Leader], res.LeaderDomain, len(comp))
-		return false, nil
-	}
-	if bound := int64(6 * len(comp)); res.AlgorithmMessages > bound {
-		r.violate(epoch, 8, "gray election used %d algorithm messages, above Theorem 5's bound %d",
-			res.AlgorithmMessages, bound)
+	if _, ok := r.elect(epoch, 8, "gray ", sub, ids, allOf(sub.N()), r.cfg.Seed*1000003+int64(epoch)+13, &profile); !ok {
 		return false, nil
 	}
 	r.res.GrayElections++

@@ -1,11 +1,13 @@
 package faults
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"fastnet/internal/graph"
+	"fastnet/internal/topology"
 )
 
 func TestSoakDESAllFaultKinds(t *testing.T) {
@@ -100,19 +102,41 @@ func TestSoakAdversary(t *testing.T) {
 	}
 }
 
+// TestSoakRejectsBadConfig: out-of-range values, open-loop configs that
+// cannot generate load, and graphs too small to churn are typed errors
+// naming the offending flag — not panics, invariant violations, or silent
+// rewrites to a default.
 func TestSoakRejectsBadConfig(t *testing.T) {
-	g := graph.Ring(4)
-	if _, err := Soak(g, Config{Epochs: 0}); err == nil {
-		t.Fatal("Epochs=0 must error")
-	}
-	if _, err := Soak(g, Config{Epochs: 1, Runtime: "bogus"}); err == nil {
-		t.Fatal("unknown runtime must error")
+	ring := graph.Ring(4)
+	for name, tc := range map[string]struct {
+		g    *graph.Graph
+		cfg  Config
+		flag string
+	}{
+		"zero epochs":        {ring, Config{}, "epochs"},
+		"unknown runtime":    {ring, Config{Epochs: 1, Runtime: "bogus"}, "runtime"},
+		"dfs mode":           {ring, Config{Epochs: 1, Mode: topology.ModeDFS}, "mode"},
+		"loss above one":     {ring, Config{Epochs: 1, Loss: 1.5}, "loss"},
+		"negative loss":      {ring, Config{Epochs: 1, Loss: -0.5}, "loss"},
+		"negative calls":     {ring, Config{Epochs: 1, Calls: -3}, "calls"},
+		"negative jittermax": {ring, Config{Epochs: 1, JitterMax: -3}, "jittermax"},
+		"negative maxrounds": {ring, Config{Epochs: 1, MaxRounds: -5}, "max-rounds"},
+		"open loop, 0 calls": {ring, Config{Epochs: 1, Rate: 1}, "calls"},
+		"open loop on gosim": {ring, Config{Epochs: 1, Rate: 1, Calls: 10, Runtime: "gosim"}, "runtime"},
+		"empty graph":        {graph.New(0), Config{Epochs: 1}, "n"},
+		"one-node graph":     {graph.New(1), Config{Epochs: 1}, "n"},
+	} {
+		_, err := Soak(tc.g, tc.cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Flag != tc.flag {
+			t.Errorf("%s: err = %v, want a *ConfigError on -%s", name, err, tc.flag)
+		}
 	}
 }
 
 func TestConfigRepro(t *testing.T) {
 	cfg := Config{Seed: 9, Epochs: 50, Flaps: 3, Adversary: true, NoElection: true}
-	line := cfg.Repro("gnp", 64)
+	line := cfg.Repro("gnp", 64, 0)
 	for _, want := range []string{"fastnet soak", "-seed 9", "-topo gnp", "-n 64", "-adversary", "-no-election"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("repro %q missing %q", line, want)
